@@ -55,6 +55,6 @@ from .synth import (
     recall_at_k,
     scale_queries,
 )
-from .vectors import batch_mean, cosine_sim, l2_normalize, shannon_entropy, softmax_temp
+from .vectors import shannon_entropy, softmax_temp
 
 __version__ = "0.1.0"

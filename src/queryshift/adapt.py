@@ -21,7 +21,7 @@ from .errors import (
     LengthMismatchError,
     UnknownBaselineError,
 )
-from .gallery import CentroidSet, Gallery, build_centroids
+from .gallery import CentroidSet, Gallery, build_centroids, knn_table
 from .losses import (
     ForwardState,
     LossBreakdown,
@@ -120,15 +120,16 @@ class BatchDiagnostics:
     active_count: int | None = None
     delta_s: float | None = None
     e_b: float | None = None
-    uniformity: float | None = None
-    gap: float | None = None
 
 
 @dataclass
 class BatchResult:
+    """Full-gallery rankings and post-step embeddings of one batch."""
+
     rankings: np.ndarray
     breakdown: LossBreakdown | None
     diagnostics: BatchDiagnostics
+    z: np.ndarray
 
 
 def forward_adapter(params: AdapterParams, raw: np.ndarray) -> np.ndarray:
@@ -222,40 +223,68 @@ class AdaptationSession:
         self.queue = SourceLikeQueue(capacity=config.batch_size)
         self.step = 0
 
-    # -- internals ---------------------------------------------------------
-
-    def _rank_full_gallery(self, params: AdapterParams, raw: np.ndarray) -> np.ndarray:
-        z = forward_adapter(params, raw)
-        sims = z @ self.gallery.items.T
-        return np.argsort(-sims, axis=1, kind="stable").astype(np.int64)
-
-    def _forward_and_candidates(self, params: AdapterParams, raw: np.ndarray):
-        z = forward_adapter(params, raw)
-        cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
-        cand_embs = [c.candidate_embeddings for c in cands]
-        state = forward_state(params.gamma, params.beta, raw, cand_embs, self.config.tau)
-        return state, cands
-
-    def _batch_metrics(self, z: np.ndarray) -> tuple[float, float]:
-        center = z.mean(axis=0)
-        uniformity = float(np.linalg.norm(z - center, axis=1).mean())
-        gap = float(np.linalg.norm(center - self.gallery.items.mean(axis=0)))
-        return uniformity, gap
-
     # -- public pipeline ----------------------------------------------------
 
     def adapt_batch(self, raw: np.ndarray) -> BatchResult:
         """Full robust-objective step: refine, estimate, step, re-rank."""
-        raw = np.asarray(raw, dtype=np.float64)
-        state, cands = self._forward_and_candidates(self.params, raw)
-        src_state = forward_state(
-            self.source_params.gamma,
-            self.source_params.beta,
-            raw,
-            state.cand_embs,
-            self.config.tau,
-        )
+        return self._run_batch(raw, "rest")
 
+    def run_baseline(self, raw: np.ndarray, kind: str) -> BatchResult:
+        """Tent- or pseudo-label-style step, or plain ranking with no update."""
+        if kind not in _BASELINES:
+            raise UnknownBaselineError(f"unknown baseline {kind!r}")
+        return self._run_batch(raw, kind)
+
+    # -- internals ---------------------------------------------------------
+
+    def _run_batch(self, raw: np.ndarray, method: str) -> BatchResult:
+        """Candidates, objective, one step and a full-gallery re-rank.
+
+        ``none`` skips everything up to the ranking and keeps the parameters.
+        """
+        raw = np.asarray(raw, dtype=np.float64)
+        diagnostics = BatchDiagnostics(step=self.step)
+        params, queue, breakdown = self.params, self.queue, None
+        if method != "none":
+            z = forward_adapter(params, raw)
+            cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
+            state = forward_state(
+                params.gamma,
+                params.beta,
+                raw,
+                [c.candidate_embeddings for c in cands],
+                self.config.tau,
+            )
+            if method == "rest":
+                grad, breakdown, queue = self._rest_gradient(raw, state, cands, diagnostics)
+            else:
+                if method == "tent":
+                    val, dz = _em_grad(state)
+                else:
+                    labels = np.array([int(np.argmax(p)) for p in self._source_probs(raw, state)])
+                    val, dz = _pl_grad(state, labels)
+                grad = param_grad(state, dz).flat()
+                diagnostics.objective = val
+            params = sgd_step(params, grad, self.config.lr)
+
+        z = forward_adapter(params, raw)
+        rankings = knn_table(self.gallery, z, self.gallery.size)
+
+        # Mutate only after the whole pipeline succeeded.
+        self.params = params
+        self.queue = queue
+        self.step += 1
+        return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
+
+    def _source_probs(self, raw: np.ndarray, state: ForwardState) -> list:
+        """Source-parameter predictions on the current candidate supports."""
+        src = self.source_params
+        return forward_state(src.gamma, src.beta, raw, state.cand_embs, self.config.tau).probs
+
+    def _rest_gradient(
+        self, raw: np.ndarray, state: ForwardState, cands: list, diagnostics: BatchDiagnostics
+    ):
+        """Robust-objective update direction, its loss terms and the next queue."""
         positives = np.stack([c.candidate_embeddings[0] for c in cands])
         q_center = state.z.mean(axis=0)
         g_center = positives.mean(axis=0)
@@ -273,69 +302,14 @@ class AdaptationSession:
 
         breakdown, grad = total_loss_and_grad(state, constraints)
         g_d = grad.flat()
-
-        general = kl_general(state, src_state.probs)
+        general = kl_general(state, self._source_probs(raw, state))
         dec = decouple(g_d, general.grad, general.kl_value)
-        g_hat = dec.g_hat if self.config.decouple else g_d
 
-        new_params = sgd_step(self.params, g_hat, self.config.lr)
-        rankings = self._rank_full_gallery(new_params, raw)
-
-        uniformity, gap = self._batch_metrics(forward_adapter(new_params, raw))
-        diagnostics = BatchDiagnostics(
-            step=self.step,
-            objective=breakdown.l_total,
-            d_kl=general.kl_value,
-            w_d=dec.w_d,
-            angle_deg=_angle_degrees(g_d, general.grad),
-            active_count=breakdown.active_count,
-            delta_s=constraints.gap_source,
-            e_b=constraints.entropy_threshold,
-            uniformity=uniformity,
-            gap=gap,
-        )
-
-        # Mutate only after the whole pipeline succeeded.
-        self.params = new_params
-        self.queue = queue
-        self.step += 1
-        return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics)
-
-    def run_baseline(self, raw: np.ndarray, kind: str) -> BatchResult:
-        """Tent- or pseudo-label-style step, or plain ranking with no update."""
-        if kind not in _BASELINES:
-            raise UnknownBaselineError(f"unknown baseline {kind!r}")
-        raw = np.asarray(raw, dtype=np.float64)
-
-        if kind == "none":
-            rankings = self._rank_full_gallery(self.params, raw)
-            uniformity, gap = self._batch_metrics(forward_adapter(self.params, raw))
-            diagnostics = BatchDiagnostics(step=self.step, uniformity=uniformity, gap=gap)
-            self.step += 1
-            return BatchResult(rankings=rankings, breakdown=None, diagnostics=diagnostics)
-
-        state, _ = self._forward_and_candidates(self.params, raw)
-        if kind == "tent":
-            val, dz = _em_grad(state)
-        else:
-            src_state = forward_state(
-                self.source_params.gamma,
-                self.source_params.beta,
-                raw,
-                state.cand_embs,
-                self.config.tau,
-            )
-            labels = np.array([int(np.argmax(p)) for p in src_state.probs])
-            val, dz = _pl_grad(state, labels)
-
-        grad = param_grad(state, dz)
-        new_params = sgd_step(self.params, grad.flat(), self.config.lr)
-        rankings = self._rank_full_gallery(new_params, raw)
-        uniformity, gap = self._batch_metrics(forward_adapter(new_params, raw))
-        diagnostics = BatchDiagnostics(
-            step=self.step, objective=val, uniformity=uniformity, gap=gap
-        )
-
-        self.params = new_params
-        self.step += 1
-        return BatchResult(rankings=rankings, breakdown=None, diagnostics=diagnostics)
+        diagnostics.objective = breakdown.l_total
+        diagnostics.d_kl = general.kl_value
+        diagnostics.w_d = dec.w_d
+        diagnostics.angle_deg = _angle_degrees(g_d, general.grad)
+        diagnostics.active_count = breakdown.active_count
+        diagnostics.delta_s = constraints.gap_source
+        diagnostics.e_b = constraints.entropy_threshold
+        return (dec.g_hat if self.config.decouple else g_d), breakdown, queue

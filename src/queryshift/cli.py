@@ -13,24 +13,26 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import struct
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adapt import AdaptationSession, AdapterParams, SessionConfig, forward_adapter
 from .errors import BadConfigError, BadInputError, QueryShiftError
-from .gallery import Gallery
+from .gallery import Gallery, knn_table
 from .losses import gradient_check
 from .synth import (
     CorruptionSpec,
     GroundTruth,
     SyntheticSpec,
     corrupt_stream,
+    count_hits,
     generate_benchmark,
     metric_consistency,
     metric_gap,
@@ -46,6 +48,7 @@ _HEADER = struct.Struct("<4sII")
 
 _METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, 10)
+_JSON_TYPES = {"bool": bool, "int": int, "number": (int, float)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,7 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     method: str
     tau: float = 0.02
@@ -143,6 +146,15 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
     missing = required - set(obj)
     if missing:
         raise BadConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _typed(obj: dict, key: str, default, kind: str):
+    """``obj[key]`` (or ``default``) if it has JSON type ``kind``: bool, int or number."""
+    value = obj.get(key, default)
+    # Python's bool is an int, but JSON true/false is neither int nor number.
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise BadConfigError(f"config: {key} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def _parse_corruption(obj: dict, where: str) -> CorruptionSpec:
@@ -227,12 +239,12 @@ def parse_config(obj: dict) -> RunConfig:
     try:
         cfg = RunConfig(
             method=method,
-            tau=float(obj.get("tau", 0.02)),
-            k=int(obj.get("k", 10)),
-            batch=int(obj.get("batch", 64)),
-            lr=float(obj.get("lr", 1e-3)),
-            decouple=bool(obj.get("decouple", decouple_default)),
-            seed=int(obj.get("seed", 0)),
+            tau=float(_typed(obj, "tau", 0.02, "number")),
+            k=_typed(obj, "k", 10, "int"),
+            batch=_typed(obj, "batch", 64, "int"),
+            lr=float(_typed(obj, "lr", 1e-3, "number")),
+            decouple=_typed(obj, "decouple", decouple_default, "bool"),
+            seed=_typed(obj, "seed", 0, "int"),
             paths=paths,
             synth=synth,
             corruptions=corruptions,
@@ -321,7 +333,8 @@ def _load_inputs(cfg: RunConfig):
     return gallery, stream, truth
 
 
-def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth, rankings: np.ndarray) -> dict:
+def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth) -> dict:
+    rankings = knn_table(gallery, z, gallery.size)
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.items),
@@ -330,23 +343,6 @@ def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth, ranking
             str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS
         },
     }
-
-
-def _rank(z: np.ndarray, gallery: Gallery) -> np.ndarray:
-    sims = z @ gallery.items.T
-    return np.argsort(-sims, axis=1, kind="stable")
-
-
-def _truth_slice(truth: GroundTruth, start: int, stop: int) -> GroundTruth:
-    return GroundTruth(relevant=truth.relevant[start:stop])
-
-
-def _count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:
-    return sum(
-        1
-        for qi, rel in enumerate(truth.relevant)
-        if any(int(g) in rel for g in rankings[qi, :k])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,66 +386,37 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         ),
     )
 
-    identity = AdapterParams.identity(gallery.dim)
-    z0 = forward_adapter(identity, stream)
-    initial = _stream_metrics(z0, gallery, truth, _rank(z0, gallery))
+    z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
+    initial = _stream_metrics(z0, gallery, truth)
 
-    series_keys = (
-        "step",
-        "objective",
-        "l_u",
-        "l_g",
-        "l_rem",
-        "l_rhm",
-        "d_kl",
-        "w_d",
-        "angle_deg",
-        "active_count",
-        "delta_s",
-        "e_b",
-        "uniformity",
-        "gap",
-        "consistency",
-        "recall_1",
-    )
-    series = {k: [] for k in series_keys}
+    series: dict = {}
     hits = {k: 0 for k in _RECALL_KS}
-
     n = stream.shape[0]
     for start in range(0, n, cfg.batch):
-        stop = min(start + cfg.batch, n)
-        raw = stream[start:stop]
+        raw = stream[start : start + cfg.batch]
         if cfg.method == "rest":
             result = session.adapt_batch(raw)
         else:
             result = session.run_baseline(raw, cfg.method)
 
-        batch_truth = _truth_slice(truth, start, stop)
+        batch_truth = GroundTruth(relevant=truth.relevant[start : start + cfg.batch])
+        batch_hits = {k: count_hits(result.rankings, batch_truth, k) for k in _RECALL_KS}
         for k in _RECALL_KS:
-            hits[k] += _count_hits(result.rankings, batch_truth, k)
+            hits[k] += batch_hits[k]
 
-        d = result.diagnostics
+        row = dataclasses.asdict(result.diagnostics)
         bd = result.breakdown
-        z_batch = forward_adapter(session.params, raw)
-        series["step"].append(d.step)
-        series["objective"].append(d.objective)
-        series["l_u"].append(None if bd is None else bd.l_u)
-        series["l_g"].append(None if bd is None else bd.l_g)
-        series["l_rem"].append(None if bd is None else bd.l_rem)
-        series["l_rhm"].append(None if bd is None else bd.l_rhm)
-        series["d_kl"].append(d.d_kl)
-        series["w_d"].append(d.w_d)
-        series["angle_deg"].append(d.angle_deg)
-        series["active_count"].append(d.active_count)
-        series["delta_s"].append(d.delta_s)
-        series["e_b"].append(d.e_b)
-        series["uniformity"].append(d.uniformity)
-        series["gap"].append(d.gap)
-        series["consistency"].append(metric_consistency(z_batch, gallery.items, batch_truth))
-        series["recall_1"].append(recall_at_k(result.rankings, batch_truth, 1))
+        for term in ("l_u", "l_g", "l_rem", "l_rhm"):
+            row[term] = None if bd is None else getattr(bd, term)
+        row["uniformity"] = metric_uniformity(result.z)
+        row["gap"] = metric_gap(result.z, gallery.items)
+        row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth)
+        row["recall_1"] = batch_hits[1] / len(batch_truth)
+        for key, value in row.items():
+            series.setdefault(key, []).append(value)
 
     zf = forward_adapter(session.params, stream)
-    final = _stream_metrics(zf, gallery, truth, _rank(zf, gallery))
+    final = _stream_metrics(zf, gallery, truth)
 
     report = {
         "schema": 1,
@@ -473,18 +440,15 @@ def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
     gallery_mean = gallery.items.mean(axis=0)
 
-    def evaluate(z: np.ndarray) -> dict:
-        return _stream_metrics(z, gallery, truth, _rank(z, gallery))
-
     scale_rows = []
     for lam in lambda_scale:
         row = {"lambda": float(lam)}
-        row.update(evaluate(scale_queries(z0, float(lam))))
+        row.update(_stream_metrics(scale_queries(z0, float(lam)), gallery, truth))
         scale_rows.append(row)
     offset_rows = []
     for lam in lambda_offset:
         row = {"lambda": float(lam)}
-        row.update(evaluate(offset_queries(z0, gallery_mean, float(lam))))
+        row.update(_stream_metrics(offset_queries(z0, gallery_mean, float(lam)), gallery, truth))
         offset_rows.append(row)
 
     return {
@@ -503,7 +467,7 @@ def cmd_metrics(cfg: RunConfig) -> dict:
     report = {
         "schema": 1,
         "config": _config_echo(cfg),
-        "metrics": _stream_metrics(z0, gallery, truth, _rank(z0, gallery)),
+        "metrics": _stream_metrics(z0, gallery, truth),
         "wall_clock_seconds": time.monotonic() - started,
     }
     return report
@@ -522,11 +486,16 @@ def cmd_gradcheck(seed: int, perturb: float = 0.0) -> dict:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _parse_lambdas(text: str):
+def _parse_lambdas(text: str, positive: bool = False):
+    """Comma list of finite floats; ``positive`` also requires each to be > 0."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise BadConfigError(f"bad lambda list {text!r}") from exc
+    if not all(math.isfinite(v) and (v > 0 or not positive) for v in values):
+        need = "finite and > 0" if positive else "finite"
+        raise BadConfigError(f"lambda values must be {need}, got {text!r}")
+    return values
 
 
 def _emit(report: dict, out_path) -> None:
@@ -576,7 +545,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "probe":
             report = cmd_probe(
-                cfg, _parse_lambdas(args.lambda_scale), _parse_lambdas(args.lambda_offset)
+                cfg,
+                _parse_lambdas(args.lambda_scale, positive=True),
+                _parse_lambdas(args.lambda_offset),
             )
             _emit(report, args.out)
             return 0

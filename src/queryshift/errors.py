@@ -69,10 +69,6 @@ class MissingQueryError(QueryShiftError):
     """Rankings do not cover every query in the ground truth."""
 
 
-class GradMismatchError(QueryShiftError):
-    """Analytic gradient disagrees with the finite-difference oracle."""
-
-
 class BadConfigError(QueryShiftError):
     """Run configuration is malformed (CLI exit code 2)."""
 

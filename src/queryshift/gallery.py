@@ -82,32 +82,30 @@ class NeighborList:
 
 
 def knn(gallery: Gallery, query: np.ndarray, k: int) -> NeighborList:
-    """Exact top-k gallery rows by cosine similarity.
-
-    Ties are broken toward the lower gallery id.
-    """
+    """Exact top-k gallery rows by cosine similarity: one row of knn_table()."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (gallery.dim,):
         raise DimMismatchError(
             f"query shape {query.shape} does not match gallery dim {gallery.dim}"
         )
-    if not 1 <= k <= gallery.size:
-        raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
-    sims = gallery.items @ query
-    # Stable argsort on -sims keeps lower ids first among equal similarities.
-    order = np.argsort(-sims, kind="stable")[:k]
-    return NeighborList(ids=order.astype(np.int64), similarities=sims[order])
+    ids = knn_table(gallery, query[None, :], k)[0]
+    return NeighborList(ids=ids, similarities=gallery.items[ids] @ query)
 
 
 def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
-    """Batched top-k ids, one row per query; same ordering rules as knn()."""
+    """Batched top-k ids, one row per query, by cosine similarity.
+
+    Ties are broken toward the lower gallery id. ``k = gallery.size`` gives
+    the full ranking.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != gallery.dim:
         raise DimMismatchError("query batch does not match gallery dim")
     if not 1 <= k <= gallery.size:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
     sims = queries @ gallery.items.T
-    return np.argsort(-sims, axis=1, kind="stable")[:, :k].astype(np.int64)
+    # Stable argsort on -sims keeps lower ids first among equal similarities.
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k].astype(np.int64, copy=False)
 
 
 def _min_sq_dist(items: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -238,15 +238,20 @@ def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth) -> 
     return total / count
 
 
-def recall_at_k(rankings: np.ndarray, truth: GroundTruth, k: int) -> float:
-    """Fraction of queries whose top-k ranked ids hit a relevant item."""
+def count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:
+    """Number of queries whose top-k ranked ids hit a relevant item."""
     rankings = np.asarray(rankings)
     if rankings.shape[0] < len(truth):
         raise MissingQueryError(
             f"rankings cover {rankings.shape[0]} queries, ground truth has {len(truth)}"
         )
-    hits = 0
-    for qi, rel in enumerate(truth.relevant):
-        if any(int(g) in rel for g in rankings[qi, :k]):
-            hits += 1
-    return hits / len(truth)
+    return sum(
+        1
+        for qi, rel in enumerate(truth.relevant)
+        if any(g in rel for g in rankings[qi, :k].tolist())
+    )
+
+
+def recall_at_k(rankings: np.ndarray, truth: GroundTruth, k: int) -> float:
+    """Fraction of queries whose top-k ranked ids hit a relevant item."""
+    return count_hits(rankings, truth, k) / len(truth)

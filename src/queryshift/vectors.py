@@ -8,27 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EmptyBatchError,
-    NonPositiveTemperatureError,
-    ZeroVectorError,
-)
+from .errors import NonPositiveTemperatureError, ZeroVectorError
 
 # Norm below which a vector counts as zero.
 EPS_NORM = 1e-12
 # Probabilities are clamped here before any log; low temperatures produce
 # underflow-scale entries.
 EPS_PROB = 1e-12
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit L2 norm. Raises ZeroVectorError on degenerate input."""
-    v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
-    if n <= EPS_NORM:
-        raise ZeroVectorError(f"cannot normalize vector with norm {n:.3e}")
-    return v / n
 
 
 def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
@@ -38,23 +24,6 @@ def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
     if np.any(norms <= EPS_NORM):
         raise ZeroVectorError("batch contains a row with near-zero norm")
     return a / norms[:, None]
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
-def batch_mean(batch: np.ndarray) -> np.ndarray:
-    """Arithmetic per-dimension mean of a batch. The result is NOT re-normalized."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise EmptyBatchError("batch_mean needs a non-empty 2-D batch")
-    return batch.mean(axis=0)
 
 
 def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:

@@ -160,6 +160,21 @@ class TestConfigParsing:
     def test_bad_numeric_range_rejected(self):
         with pytest.raises(BadConfigError):
             parse_config(config_dict(tau=0.0))
+        # Values of the wrong JSON type are rejected, not coerced.
+        for key, value in [
+            ("decouple", "false"),
+            ("decouple", 0),
+            ("k", 3.7),
+            ("k", "5"),
+            ("batch", True),
+            ("seed", 1.0),
+            ("tau", True),
+            ("lr", "0.01"),
+        ]:
+            with pytest.raises(BadConfigError):
+                parse_config(config_dict(**{key: value}))
+        cfg = parse_config(config_dict(tau=1, lr=0.5, k=3, batch=8, seed=2, decouple=True))
+        assert (cfg.tau, cfg.lr, cfg.k, cfg.batch, cfg.seed, cfg.decouple) == (1.0, 0.5, 3, 8, 2, True)
 
     def test_decouple_defaults_by_shift_type(self):
         single = config_dict(method="rest")
@@ -331,6 +346,30 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_dict(method="bogus")), encoding="utf-8")
         assert main(["--config", str(cfg_path), "adapt"]) == 2
+        for bad in ({"decouple": "false"}, {"k": 3.7}, {"batch": True}):
+            cfg_path.write_text(json.dumps(config_dict(**bad)), encoding="utf-8")
+            assert main(["--config", str(cfg_path), "adapt"]) == 2
+
+    def test_probe_bad_lambdas_exit_two(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict(method="none")), encoding="utf-8")
+        out = tmp_path / "probe.json"
+        for flag, value in [
+            ("--lambda-scale", "inf"),
+            ("--lambda-scale", "1.0,nan"),
+            ("--lambda-scale", "-1"),
+            ("--lambda-scale", "0"),
+            ("--lambda-offset", "nan"),
+            ("--lambda-offset", "-inf"),
+        ]:
+            argv = ["--config", str(cfg_path), "probe", "--out", str(out), f"{flag}={value}"]
+            assert main(argv) == 2, (flag, value)
+        assert not out.exists()
+        argv = ["--config", str(cfg_path), "probe", "--out", str(out),
+                "--lambda-scale=0.5,2", "--lambda-offset=-0.5,0,1"]
+        assert main(argv) == 0
+        probe = json.loads(out.read_text())["probe"]
+        assert [row["lambda"] for row in probe["offset"]] == [-0.5, 0.0, 1.0]
 
     def test_missing_file_exit_three(self, tmp_path):
         cfg = {

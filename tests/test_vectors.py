@@ -5,75 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryshift.errors import (
-    DimMismatchError,
-    EmptyBatchError,
-    NonPositiveTemperatureError,
-    ZeroVectorError,
-)
-from queryshift.vectors import (
-    batch_mean,
-    cosine_sim,
-    l2_normalize,
-    shannon_entropy,
-    softmax_temp,
-)
+from queryshift.errors import NonPositiveTemperatureError, ZeroVectorError
+from queryshift.vectors import l2_normalize_rows, shannon_entropy, softmax_temp
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-12)
+        np.testing.assert_allclose(l2_normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-12)
 
     def test_already_unit(self):
-        np.testing.assert_allclose(l2_normalize([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(l2_normalize_rows([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
-            l2_normalize([0.0, 0.0])
+            l2_normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, values):
-        v = np.array(values)
+        v = np.array([values])
         if np.linalg.norm(v) <= 1e-6:
             return
-        once = l2_normalize(v)
-        np.testing.assert_allclose(l2_normalize(once), once, atol=1e-9)
-
-
-class TestCosineSim:
-    def test_identity(self):
-        assert cosine_sim([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_antipodal(self):
-        assert cosine_sim([1.0, 0.0], [-1.0, 0.0]) == -1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_clamped_to_range(self):
-        # Slightly denormalized inputs must still land in [-1, 1].
-        v = np.full(8, 1.0 + 1e-9) / math.sqrt(8)
-        assert -1.0 <= cosine_sim(v, v) <= 1.0
-
-
-class TestBatchMean:
-    def test_singleton(self):
-        np.testing.assert_allclose(batch_mean([[1.0, 0.0]]), [1.0, 0.0])
-
-    def test_antipodal_cancels(self):
-        np.testing.assert_allclose(batch_mean([[1.0, 0.0], [-1.0, 0.0]]), [0.0, 0.0])
-
-    def test_midpoint_not_renormalized(self):
-        np.testing.assert_allclose(batch_mean([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyBatchError):
-            batch_mean(np.empty((0, 3)))
+        once = l2_normalize_rows(v)
+        np.testing.assert_allclose(l2_normalize_rows(once), once, atol=1e-9)
 
 
 class TestSoftmaxTemp:
