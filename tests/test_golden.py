@@ -1,9 +1,14 @@
-"""Golden ``cmd_adapt`` reports: refactors must reproduce them.
+"""Golden ``cmd_adapt``, ``cmd_probe`` and ``cmd_metrics`` reports: refactors
+must reproduce them.
 
-The fixture holds one report per case (method x shift x decouple), minus
-``wall_clock_seconds``, recorded once from the engine as it stood before the
-session pipeline was merged. It is never regenerated to make a change pass;
-a change that alters behaviour on purpose says so and why.
+``adapt_reports.json`` holds one report per case (method x shift x decouple),
+recorded from the engine as it stood before the session pipeline was merged.
+``probe_metrics_reports.json`` holds one probe and one metrics report per
+shift, plus a gallery smaller than the deepest recall cut-off, recorded from
+the engine as it stood before ranking switched from a full sort to top-k
+selection. Every report is stored minus ``wall_clock_seconds``. A fixture is
+never regenerated to make a change pass; a change that alters behaviour on
+purpose says so and why.
 
 Comparison rules: keys, strings, ints, bools and nulls match exactly, and so
 does every recall value (they are hit counts over a fixed stream). Other
@@ -17,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from queryshift.cli import cmd_adapt, parse_config
+from queryshift.cli import cmd_adapt, cmd_metrics, cmd_probe, parse_config
 
 FIXTURE = Path(__file__).parent / "golden" / "adapt_reports.json"
+PROBE_FIXTURE = Path(__file__).parent / "golden" / "probe_metrics_reports.json"
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -65,11 +71,48 @@ def case_config(case: str) -> dict:
     }
 
 
-def golden_report(case: str) -> dict:
-    """The report the fixture stores for ``case``, as plain JSON data."""
-    report = cmd_adapt(parse_config(case_config(case)))
+# Probe lambdas: the identity of each probe plus points on both sides.
+LAMBDA_SCALE = (1.0, 0.5, 2.0)
+LAMBDA_OFFSET = (0.0, 0.5, 1.0, -0.5)
+# A 4-class, 8-item gallery: shallower than the deepest recall cut-off (10).
+TINY_SYNTH = {
+    "classes": 4,
+    "dim": 6,
+    "gallery_size": 8,
+    "stream_length": 40,
+    "sigma_query": 0.3,
+    "sigma_gallery": 0.2,
+    "seed": 5,
+    "corruptions": SHIFTS["mean_shift"],
+}
+PROBE_CASES = [
+    f"{command}-{shift}" for command in ("probe", "metrics") for shift in (*SHIFTS, "tiny")
+]
+
+
+def probe_case_config(case: str) -> dict:
+    _, shift = case.split("-")
+    if shift == "tiny":
+        return {"method": "none", "k": 3, "seed": 3, "synth": dict(TINY_SYNTH)}
+    return case_config(f"none-{shift}-nodec")
+
+
+def _plain(report: dict) -> dict:
     report.pop("wall_clock_seconds")
     return json.loads(json.dumps(report))
+
+
+def golden_report(case: str) -> dict:
+    """The report the fixture stores for ``case``, as plain JSON data."""
+    return _plain(cmd_adapt(parse_config(case_config(case))))
+
+
+def golden_probe_report(case: str) -> dict:
+    """The probe or metrics report ``probe_metrics_reports.json`` stores for ``case``."""
+    cfg = parse_config(probe_case_config(case))
+    if case.startswith("probe"):
+        return _plain(cmd_probe(cfg, LAMBDA_SCALE, LAMBDA_OFFSET))
+    return _plain(cmd_metrics(cfg))
 
 
 def assert_matches(got, want, path="report"):
@@ -101,3 +144,17 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_report_matches_golden(golden, case):
     assert_matches(golden_report(case), golden[case])
+
+
+@pytest.fixture(scope="module")
+def golden_probe():
+    return json.loads(PROBE_FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_probe_fixture_covers_every_case(golden_probe):
+    assert sorted(golden_probe) == sorted(PROBE_CASES)
+
+
+@pytest.mark.parametrize("case", PROBE_CASES)
+def test_probe_report_matches_golden(golden_probe, case):
+    assert_matches(golden_probe_report(case), golden_probe[case])
