@@ -44,6 +44,9 @@ from .refine import (
 
 _BASELINES = ("tent", "pl", "none")
 
+# Ranking depth of every batch: the deepest recall cut-off any report reads.
+RANK_DEPTH = 10
+
 
 @dataclass(frozen=True)
 class AdapterParams:
@@ -124,7 +127,11 @@ class BatchDiagnostics:
 
 @dataclass
 class BatchResult:
-    """Full-gallery rankings and post-step embeddings of one batch."""
+    """Top rankings and post-step embeddings of one batch.
+
+    ``rankings`` holds, per query, the ``min(RANK_DEPTH, gallery.size)`` most
+    similar gallery ids under the post-step parameters, ties to the lower id.
+    """
 
     rankings: np.ndarray
     breakdown: LossBreakdown | None
@@ -238,7 +245,7 @@ class AdaptationSession:
     # -- internals ---------------------------------------------------------
 
     def _run_batch(self, raw: np.ndarray, method: str) -> BatchResult:
-        """Candidates, objective, one step and a full-gallery re-rank.
+        """Candidates, objective, one step and an exact top-RANK_DEPTH re-rank.
 
         ``none`` skips everything up to the ranking and keeps the parameters.
         """
@@ -268,7 +275,7 @@ class AdaptationSession:
             params = sgd_step(params, grad, self.config.lr)
 
         z = forward_adapter(params, raw)
-        rankings = knn_table(self.gallery, z, self.gallery.size)
+        rankings = knn_table(self.gallery, z, min(RANK_DEPTH, self.gallery.size))
 
         # Mutate only after the whole pipeline succeeded.
         self.params = params

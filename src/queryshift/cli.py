@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptationSession, AdapterParams, SessionConfig, forward_adapter
+from .adapt import RANK_DEPTH, AdaptationSession, AdapterParams, SessionConfig, forward_adapter
 from .errors import BadConfigError, BadInputError, QueryShiftError
 from .gallery import Gallery, knn_table
 from .losses import gradient_check
@@ -47,7 +47,7 @@ MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
 
 _METHODS = ("rest", "tent", "pl", "none")
-_RECALL_KS = (1, 5, 10)
+_RECALL_KS = (1, 5, RANK_DEPTH)
 _JSON_TYPES = {"bool": bool, "int": int, "number": (int, float)}
 
 
@@ -153,7 +153,7 @@ def _typed(obj: dict, key: str, default, kind: str):
     value = obj.get(key, default)
     # Python's bool is an int, but JSON true/false is neither int nor number.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
-        raise BadConfigError(f"config: {key} must be a JSON {kind}, got {value!r}")
+        raise BadConfigError(f"{key} must be a JSON {kind}, got {value!r}")
     return value
 
 
@@ -168,10 +168,10 @@ def _parse_corruption(obj: dict, where: str) -> CorruptionSpec:
     try:
         return CorruptionSpec(
             kind=obj["kind"],
-            sigma=float(obj.get("sigma", 0.0)),
-            delta=float(obj.get("delta", 0.0)),
-            rho=float(obj.get("rho", 0.0)),
-            domain=int(obj.get("domain", 0)),
+            sigma=float(_typed(obj, "sigma", 0.0, "number")),
+            delta=float(_typed(obj, "delta", 0.0, "number")),
+            rho=float(_typed(obj, "rho", 0.0, "number")),
+            domain=_typed(obj, "domain", 0, "int"),
             parts=parts,
         )
     except (QueryShiftError, TypeError, ValueError) as exc:
@@ -218,13 +218,13 @@ def parse_config(obj: dict) -> RunConfig:
         _require_keys(s, allowed_s, required_s, "config.synth")
         try:
             synth = SyntheticSpec(
-                classes=int(s["classes"]),
-                dim=int(s["dim"]),
-                gallery_size=int(s["gallery_size"]),
-                stream_length=int(s["stream_length"]),
-                sigma_query=float(s.get("sigma_query", 0.0)),
-                sigma_gallery=float(s.get("sigma_gallery", 0.0)),
-                seed=int(s.get("seed", 0)),
+                classes=_typed(s, "classes", None, "int"),
+                dim=_typed(s, "dim", None, "int"),
+                gallery_size=_typed(s, "gallery_size", None, "int"),
+                stream_length=_typed(s, "stream_length", None, "int"),
+                sigma_query=float(_typed(s, "sigma_query", 0.0, "number")),
+                sigma_gallery=float(_typed(s, "sigma_gallery", 0.0, "number")),
+                seed=_typed(s, "seed", 0, "int"),
             )
         except (QueryShiftError, TypeError, ValueError) as exc:
             raise BadConfigError(f"config.synth: {exc}") from exc
@@ -252,8 +252,6 @@ def parse_config(obj: dict) -> RunConfig:
         # Surface invalid numeric ranges now rather than mid-run.
         SessionConfig(tau=cfg.tau, k=cfg.k, batch_size=cfg.batch, lr=cfg.lr)
     except (QueryShiftError, TypeError, ValueError) as exc:
-        if isinstance(exc, BadConfigError):
-            raise
         raise BadConfigError(f"config: {exc}") from exc
     return cfg
 
@@ -334,7 +332,7 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth) -> dict:
-    rankings = knn_table(gallery, z, gallery.size)
+    rankings = knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.items),

@@ -20,6 +20,10 @@ NORM_TOL = 1e-6
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
 
+# Most float64 scores one query x gallery pass holds at once (8 MB), so memory
+# stays flat in the number of queries.
+SCORE_BLOCK = 1 << 20
+
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
@@ -93,19 +97,46 @@ def knn(gallery: Gallery, query: np.ndarray, k: int) -> NeighborList:
 
 
 def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
-    """Batched top-k ids, one row per query, by cosine similarity.
+    """Batched exact top-k ids, one row per query, by cosine similarity.
 
-    Ties are broken toward the lower gallery id. ``k = gallery.size`` gives
-    the full ranking.
+    Each row lists the ``k`` most similar gallery ids in decreasing
+    similarity; equal similarities go to the lower gallery id, including at
+    the k-th place. ``k = gallery.size`` gives the full ranking. Queries are
+    scored in row blocks of at most ``SCORE_BLOCK`` similarities.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != gallery.dim:
         raise DimMismatchError("query batch does not match gallery dim")
     if not 1 <= k <= gallery.size:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
-    sims = queries @ gallery.items.T
-    # Stable argsort on -sims keeps lower ids first among equal similarities.
-    return np.argsort(-sims, axis=1, kind="stable")[:, :k].astype(np.int64, copy=False)
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
+    for rows in _row_blocks(queries.shape[0], gallery.size):
+        out[rows] = _topk(queries[rows] @ gallery.items.T, k)
+    return out
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of an n_rows x n_cols score matrix, each within SCORE_BLOCK."""
+    step = max(1, SCORE_BLOCK // n_cols)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _topk(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the ``k`` highest scores of each row, ordered by (-score, id)."""
+    n = scores.shape[1]
+    ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    top = np.take_along_axis(scores, ids, axis=1)
+    kth = top.min(axis=1)
+    # argpartition picks arbitrarily among scores equal to the k-th. Where
+    # such ties reach past the cut, reselect the row from every entry scoring
+    # at least the k-th, so that the lower ids win.
+    for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > k):
+        cand = np.flatnonzero(scores[r] >= kth[r])
+        ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
+        top[r] = scores[r, ids[r]]
+    order = np.lexsort((ids, -top), axis=1)
+    return np.take_along_axis(ids, order, axis=1)
 
 
 def _min_sq_dist(items: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ generator seeded explicitly, so every artifact is bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     InvalidSpecError,
     MissingQueryError,
 )
-from .gallery import Gallery
+from .gallery import Gallery, _row_blocks
 from .vectors import l2_normalize_rows
 
 _CORRUPTION_KINDS = ("gaussian_noise", "mean_shift", "uniformity_collapse", "compose")
@@ -224,18 +225,26 @@ def metric_gap(z_q: np.ndarray, z_g: np.ndarray) -> float:
 
 
 def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth) -> float:
-    """Mean cosine similarity over all correctly associated pairs."""
+    """Mean cosine similarity over all correctly associated pairs.
+
+    Queries are scored against the gallery in the row blocks of
+    ``knn_table``, so memory stays flat in the number of queries.
+    """
     z_q = np.asarray(z_q, dtype=np.float64)
     z_g = np.asarray(z_g, dtype=np.float64)
-    total = 0.0
-    count = 0
-    for qi, rel in enumerate(truth.relevant):
-        for gi in rel:
-            total += float(np.dot(z_q[qi], z_g[gi]))
-            count += 1
-    if count == 0:
+    counts = np.array([len(rel) for rel in truth.relevant], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if indptr[-1] == 0:
         raise EmptyGroundTruthError("no relevance pairs")
-    return total / count
+    ids = np.fromiter(
+        itertools.chain.from_iterable(truth.relevant), dtype=np.int64, count=indptr[-1]
+    )
+    total = 0.0
+    for rows in _row_blocks(len(truth), z_g.shape[0]):
+        sims = z_q[rows] @ z_g.T
+        local = np.repeat(np.arange(sims.shape[0]), counts[rows])
+        total += float(sims[local, ids[indptr[rows.start] : indptr[rows.stop]]].sum())
+    return total / int(indptr[-1])
 
 
 def count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:

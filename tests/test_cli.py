@@ -1,11 +1,13 @@
 import copy
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from queryshift.cli import (
+    _stream_metrics,
     cmd_adapt,
     cmd_gradcheck,
     cmd_metrics,
@@ -19,7 +21,9 @@ from queryshift.cli import (
     write_ground_truth,
 )
 from queryshift.errors import BadConfigError, BadInputError
+from queryshift.gallery import Gallery
 from queryshift.synth import GroundTruth
+from queryshift.vectors import l2_normalize_rows
 
 BASE_SYNTH = {
     "classes": 8,
@@ -46,6 +50,20 @@ def config_dict(method="none", **over):
     }
     cfg.update(over)
     return cfg
+
+
+def synth_config_dict(**over):
+    """config_dict() with ``over`` applied to its synth block."""
+    cfg = config_dict()
+    cfg["synth"].update(over)
+    return cfg
+
+
+def corruption_config_dict(**over):
+    """config_dict() with one mean-shift corruption, ``over`` applied to it."""
+    corruption = {"kind": "mean_shift", "delta": 0.5, "domain": 0}
+    corruption.update(over)
+    return synth_config_dict(corruptions=[corruption])
 
 
 class TestEmbeddingFile:
@@ -175,6 +193,32 @@ class TestConfigParsing:
                 parse_config(config_dict(**{key: value}))
         cfg = parse_config(config_dict(tau=1, lr=0.5, k=3, batch=8, seed=2, decouple=True))
         assert (cfg.tau, cfg.lr, cfg.k, cfg.batch, cfg.seed, cfg.decouple) == (1.0, 0.5, 3, 8, 2, True)
+        # The synth block and its corruptions are typed the same way.
+        for key, value in [
+            ("classes", 8.9),
+            ("dim", "12"),
+            ("gallery_size", 64.0),
+            ("stream_length", False),
+            ("seed", True),
+            ("sigma_query", "0.1"),
+            ("sigma_gallery", True),
+        ]:
+            with pytest.raises(BadConfigError):
+                parse_config(synth_config_dict(**{key: value}))
+        for key, value in [
+            ("delta", True),
+            ("delta", "0.5"),
+            ("domain", 1.7),
+            ("domain", False),
+            ("sigma", None),
+            ("rho", True),
+        ]:
+            with pytest.raises(BadConfigError):
+                parse_config(corruption_config_dict(**{key: value}))
+        cfg = parse_config(corruption_config_dict(delta=1, domain=2))
+        assert (cfg.corruptions[0].delta, cfg.corruptions[0].domain) == (1.0, 2)
+        assert isinstance(cfg.corruptions[0].delta, float)
+        assert isinstance(parse_config(synth_config_dict(sigma_query=0)).synth.sigma_query, float)
 
     def test_decouple_defaults_by_shift_type(self):
         single = config_dict(method="rest")
@@ -332,6 +376,23 @@ class TestCmdGradcheckAndMetrics:
         assert m["gap"] >= 0.0
         assert -1.0 <= m["consistency"] <= 1.0
 
+    def test_stream_metrics_memory_bounded(self):
+        # 2,048 queries x 8,192 items: a dense score or index matrix alone
+        # would take 128 MB, so the peak shows whether scoring is blocked.
+        rng = np.random.default_rng(0)
+        gallery = Gallery(l2_normalize_rows(rng.standard_normal((8192, 32))))
+        z = l2_normalize_rows(rng.standard_normal((2048, 32)))
+        by_class = [frozenset(range(c, 8192, 64)) for c in range(64)]
+        truth = GroundTruth(relevant=tuple(by_class[i % 64] for i in range(2048)))
+        tracemalloc.start()
+        try:
+            metrics = _stream_metrics(z, gallery, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= metrics["recall"]["10"] <= 1.0
+        assert peak < 64 * 2**20
+
 
 class TestMainEntry:
     def test_adapt_exit_zero(self, tmp_path, capsys):
@@ -346,8 +407,16 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_dict(method="bogus")), encoding="utf-8")
         assert main(["--config", str(cfg_path), "adapt"]) == 2
-        for bad in ({"decouple": "false"}, {"k": 3.7}, {"batch": True}):
-            cfg_path.write_text(json.dumps(config_dict(**bad)), encoding="utf-8")
+        for bad in (
+            config_dict(decouple="false"),
+            config_dict(k=3.7),
+            config_dict(batch=True),
+            synth_config_dict(classes=8.9),
+            synth_config_dict(seed=True),
+            corruption_config_dict(delta=True),
+            corruption_config_dict(domain=1.7),
+        ):
+            cfg_path.write_text(json.dumps(bad), encoding="utf-8")
             assert main(["--config", str(cfg_path), "adapt"]) == 2
 
     def test_probe_bad_lambdas_exit_two(self, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from queryshift import gallery as gallery_mod
 from queryshift.errors import DimMismatchError, InvalidKError
 from queryshift.gallery import Gallery, build_centroids, knn, knn_table
 from queryshift.vectors import l2_normalize_rows
@@ -11,6 +12,28 @@ from queryshift.vectors import l2_normalize_rows
 def random_gallery(n, d, seed):
     rng = np.random.default_rng(seed)
     return Gallery(l2_normalize_rows(rng.standard_normal((n, d))))
+
+
+# Unit vectors in dim 4 whose pairwise dot products are exact in float64:
+# the signed axes and every (+-0.5, +-0.5, +-0.5, +-0.5). Scores take only
+# the values -1, -0.5, 0, 0.5 and 1, whatever the summation order.
+EXACT_POOL = np.vstack(
+    [np.eye(4), -np.eye(4), 0.5 * np.array(list(itertools.product([-1.0, 1.0], repeat=4)))]
+)
+
+
+def tied_instance(rng, n_items, n_queries):
+    """Gallery rows and queries drawn with repeats from EXACT_POOL."""
+    items = EXACT_POOL[rng.integers(0, len(EXACT_POOL), n_items)]
+    queries = EXACT_POOL[rng.integers(0, len(EXACT_POOL), n_queries)]
+    return Gallery(items), queries
+
+
+def lexsort_oracle(gallery, queries, k):
+    """Per-row full sort by (-score, id), cut to k."""
+    scores = queries @ gallery.items.T
+    ids = np.arange(gallery.size)
+    return np.array([np.lexsort((ids, -row))[:k] for row in scores])
 
 
 def brute_force_two_cluster_energy(items):
@@ -149,3 +172,24 @@ class TestKnn:
         table = knn_table(g, queries, 5)
         for i in range(8):
             assert list(table[i]) == list(knn(g, queries[i], 5).ids)
+
+    def test_ties_across_the_cut_match_lexsort_oracle(self):
+        # Five score levels over up to 40 items put ties at the k-th place
+        # in most rows; duplicate gallery rows tie exactly.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            g, queries = tied_instance(rng, n, int(rng.integers(1, 9)))
+            for k in {1, n, int(rng.integers(1, n + 1))}:
+                assert np.array_equal(knn_table(g, queries, k), lexsort_oracle(g, queries, k))
+
+    def test_row_blocks_match_single_block(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        g, queries = tied_instance(rng, 24, 11)
+        whole = {k: knn_table(g, queries, k) for k in (1, 5, 24)}
+        # 3, 2 and 1 query rows per block: 4, 6 and 11 blocks, last one short.
+        for block in (3 * 24, 2 * 24 + 5, 7):
+            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+            assert len(list(gallery_mod._row_blocks(11, 24))) >= 3
+            for k, want in whole.items():
+                assert np.array_equal(knn_table(g, queries, k), want)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from queryshift import gallery as gallery_mod
 from queryshift.adapt import AdapterParams, forward_adapter
 from queryshift.errors import (
     DimMismatchError,
@@ -30,6 +31,17 @@ from queryshift.vectors import l2_normalize_rows
 
 def rank(z, gallery):
     return np.argsort(-(z @ gallery.items.T), axis=1, kind="stable")
+
+
+def consistency_by_pairs(z_q, z_g, truth):
+    """Reference metric_consistency: one dot product per relevant pair."""
+    total = 0.0
+    count = 0
+    for qi, rel in enumerate(truth.relevant):
+        for gi in rel:
+            total += float(np.dot(z_q[qi], z_g[gi]))
+            count += 1
+    return total / count
 
 
 def source_recall(gallery, stream, truth, k=1):
@@ -288,6 +300,22 @@ class TestMetrics:
         z_g = np.array([[1.0, 0.0], [1.0, 0.0]])
         truth = GroundTruth(relevant=(frozenset({0}), frozenset({1})))
         assert metric_consistency(z_q, z_g, truth) == pytest.approx(0.5)
+
+    def test_consistency_matches_pair_loop_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        z_q = l2_normalize_rows(rng.standard_normal((23, 5)))
+        z_g = l2_normalize_rows(rng.standard_normal((17, 5)))
+        truth = GroundTruth(
+            relevant=tuple(
+                frozenset(rng.choice(17, int(rng.integers(1, 18)), replace=False).tolist())
+                for _ in range(23)
+            )
+        )
+        want = consistency_by_pairs(z_q, z_g, truth)
+        # One block; then 4, 6 and 1 query rows per block: 6, 4 and 23 blocks.
+        for block in (1 << 20, 4 * 17, 6 * 17 + 3, 1):
+            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+            assert metric_consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
 
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
