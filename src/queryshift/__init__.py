@@ -29,9 +29,9 @@ from .losses import (
     total_loss_and_grad,
 )
 from .refine import (
+    CandidateBatch,
     CandidateSet,
     ConstraintEstimates,
-    QueueEntry,
     RefinedPrediction,
     SourceLikeQueue,
     build_candidate_set,

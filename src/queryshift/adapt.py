@@ -34,7 +34,7 @@ from .losses import (
     total_loss_and_grad,
 )
 from .refine import (
-    QueueEntry,
+    CandidateBatch,
     SourceLikeQueue,
     build_candidate_sets,
     estimate_constraints,
@@ -145,10 +145,10 @@ def forward_adapter(params: AdapterParams, raw: np.ndarray) -> np.ndarray:
     return z
 
 
-def kl_general(state: ForwardState, src_probs: list) -> GeneralDirection:
+def kl_general(state: ForwardState, src_probs: np.ndarray) -> GeneralDirection:
     """General direction: KL of current predictions from frozen source ones.
 
-    Both prediction lists must share candidate supports per query.
+    ``src_probs`` must share the state's padded (b, m_max) candidate supports.
     """
     val, dz = _kl_grad(state, src_probs)
     return GeneralDirection(grad=param_grad(state, dz).flat(), kl_value=val)
@@ -227,7 +227,7 @@ class AdaptationSession:
         )
         self.params = AdapterParams.identity(gallery.dim)
         self.source_params = AdapterParams.identity(gallery.dim)
-        self.queue = SourceLikeQueue(capacity=config.batch_size)
+        self.queue = SourceLikeQueue.empty(config.batch_size, gallery.dim)
         self.step = 0
 
     # -- public pipeline ----------------------------------------------------
@@ -255,21 +255,14 @@ class AdaptationSession:
         if method != "none":
             z = forward_adapter(params, raw)
             cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
-            state = forward_state(
-                params.gamma,
-                params.beta,
-                raw,
-                [c.candidate_embeddings for c in cands],
-                self.config.tau,
-            )
+            state = forward_state(params.gamma, params.beta, raw, cands, self.config.tau)
             if method == "rest":
                 grad, breakdown, queue = self._rest_gradient(raw, state, cands, diagnostics)
             else:
                 if method == "tent":
                     val, dz = _em_grad(state)
                 else:
-                    labels = np.array([int(np.argmax(p)) for p in self._source_probs(raw, state)])
-                    val, dz = _pl_grad(state, labels)
+                    val, dz = _pl_grad(state, np.argmax(self._source_probs(raw, cands), axis=1))
                 grad = param_grad(state, dz).flat()
                 diagnostics.objective = val
             params = sgd_step(params, grad, self.config.lr)
@@ -283,33 +276,27 @@ class AdaptationSession:
         self.step += 1
         return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
 
-    def _source_probs(self, raw: np.ndarray, state: ForwardState) -> list:
+    def _source_probs(self, raw: np.ndarray, cands: CandidateBatch) -> np.ndarray:
         """Source-parameter predictions on the current candidate supports."""
         src = self.source_params
-        return forward_state(src.gamma, src.beta, raw, state.cand_embs, self.config.tau).probs
+        return forward_state(src.gamma, src.beta, raw, cands, self.config.tau).probs
 
     def _rest_gradient(
-        self, raw: np.ndarray, state: ForwardState, cands: list, diagnostics: BatchDiagnostics
+        self,
+        raw: np.ndarray,
+        state: ForwardState,
+        cands: CandidateBatch,
+        diagnostics: BatchDiagnostics,
     ):
         """Robust-objective update direction, its loss terms and the next queue."""
-        positives = np.stack([c.candidate_embeddings[0] for c in cands])
-        q_center = state.z.mean(axis=0)
-        g_center = positives.mean(axis=0)
-        entries = [
-            QueueEntry(
-                query_emb=state.z[i].copy(),
-                positive_emb=positives[i].copy(),
-                score_s=source_likeness(state.z[i], positives[i], q_center, g_center),
-                entropy_at_enqueue=float(state.entropies[i]),
-            )
-            for i in range(state.batch_size)
-        ]
-        queue = update_queue(self.queue, entries)
+        positives = state.cand_embs[:, 0]
+        scores = source_likeness(state.z, positives, state.z.mean(axis=0), positives.mean(axis=0))
+        queue = update_queue(self.queue, state.z, positives, scores, state.entropies)
         constraints = estimate_constraints(queue)
 
         breakdown, grad = total_loss_and_grad(state, constraints)
         g_d = grad.flat()
-        general = kl_general(state, self._source_probs(raw, state))
+        general = kl_general(state, self._source_probs(raw, cands))
         dec = decouple(g_d, general.grad, general.kl_value)
 
         diagnostics.objective = breakdown.l_total

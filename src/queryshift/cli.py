@@ -48,7 +48,7 @@ _HEADER = struct.Struct("<4sII")
 
 _METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, RANK_DEPTH)
-_JSON_TYPES = {"bool": bool, "int": int, "number": (int, float)}
+_JSON_TYPES = {"bool": bool, "int": int, "number": (int, float), "string": str, "array": list}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,8 @@ class RunConfig:
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise BadConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise BadConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -149,7 +151,7 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
 
 
 def _typed(obj: dict, key: str, default, kind: str):
-    """``obj[key]`` (or ``default``) if it has JSON type ``kind``: bool, int or number."""
+    """``obj[key]`` (or ``default``) if it has JSON type ``kind`` (a key of _JSON_TYPES)."""
     value = obj.get(key, default)
     # Python's bool is an int, but JSON true/false is neither int nor number.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
@@ -158,12 +160,11 @@ def _typed(obj: dict, key: str, default, kind: str):
 
 
 def _parse_corruption(obj: dict, where: str) -> CorruptionSpec:
-    if not isinstance(obj, dict):
-        raise BadConfigError(f"{where}: corruption must be an object")
     allowed = {"kind", "sigma", "delta", "rho", "domain", "parts"}
     _require_keys(obj, allowed, {"kind"}, where)
     parts = tuple(
-        _parse_corruption(p, f"{where}.parts[{i}]") for i, p in enumerate(obj.get("parts", []))
+        _parse_corruption(p, f"{where}.parts[{i}]")
+        for i, p in enumerate(_typed(obj, "parts", [], "array"))
     )
     try:
         return CorruptionSpec(
@@ -180,8 +181,6 @@ def _parse_corruption(obj: dict, where: str) -> CorruptionSpec:
 
 def parse_config(obj: dict) -> RunConfig:
     """Validate a JSON config document; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise BadConfigError("config root must be an object")
     allowed = {"method", "tau", "k", "batch", "lr", "decouple", "seed", "paths", "synth"}
     _require_keys(obj, allowed, {"method"}, "config")
     method = obj["method"]
@@ -198,7 +197,7 @@ def parse_config(obj: dict) -> RunConfig:
             {"gallery", "queries", "ground_truth"},
             "config.paths",
         )
-        paths = {k: str(v) for k, v in obj["paths"].items()}
+        paths = {key: _typed(obj["paths"], key, None, "string") for key in obj["paths"]}
 
     synth = None
     corruptions: tuple = ()
@@ -230,7 +229,7 @@ def parse_config(obj: dict) -> RunConfig:
             raise BadConfigError(f"config.synth: {exc}") from exc
         corruptions = tuple(
             _parse_corruption(c, f"config.synth.corruptions[{i}]")
-            for i, c in enumerate(s.get("corruptions", []))
+            for i, c in enumerate(_typed(s, "corruptions", [], "array"))
         )
 
     # Unless set explicitly, decoupling follows the shift type: on for

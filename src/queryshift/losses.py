@@ -25,7 +25,7 @@ from .errors import (
     TooFewCandidatesError,
     ZeroVectorError,
 )
-from .refine import ConstraintEstimates
+from .refine import CandidateBatch, ConstraintEstimates
 from .vectors import EPS_NORM, EPS_PROB, clamped_log, softmax_temp
 
 
@@ -68,6 +68,8 @@ class ForwardState:
 
     Candidate embeddings are frozen snapshots; re-evaluating a loss at
     perturbed parameters keeps them (and all other discrete choices) fixed.
+    Per-candidate arrays are (b, m_max), padded past each query's list as
+    ``mask`` marks: padded slots score -inf and have probability exactly 0.
     """
 
     raw: np.ndarray
@@ -76,9 +78,10 @@ class ForwardState:
     pre_norm: np.ndarray
     norms: np.ndarray
     z: np.ndarray
-    cand_embs: list
-    scores: list
-    probs: list
+    cand_embs: np.ndarray
+    mask: np.ndarray
+    scores: np.ndarray
+    probs: np.ndarray
     entropies: np.ndarray
     tau: float
 
@@ -107,20 +110,52 @@ def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
     return pre, norms, pre / norms[:, None]
 
 
+def _size_groups(mask: np.ndarray):
+    """(rows, m) for every candidate count m in the batch.
+
+    Scores, softmax normalizers and KL live-mass sums run per group on
+    unpadded (rows, m) blocks, so every row is reduced in the order of its
+    own list. At the first step current and source predictions coincide and
+    the KL gradient is roundoff alone, so it moves with that order. A
+    query's count varies only with the ids it alone retrieves (at most k)
+    and with centroid collisions, so the groups do not grow with the batch.
+    """
+    sizes = np.count_nonzero(mask, axis=1)
+    return [(np.flatnonzero(sizes == m), m) for m in np.unique(sizes)]
+
+
+def _padded(cand_embs: CandidateBatch | list):
+    """(b, m_max, d) embeddings and (b, m_max) mask of a CandidateBatch or a list."""
+    if isinstance(cand_embs, CandidateBatch):
+        return cand_embs.embs, cand_embs.mask
+    sizes = np.array([c.shape[0] for c in cand_embs])
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    embs = np.zeros(mask.shape + (cand_embs[0].shape[1],))
+    embs[mask] = np.concatenate(cand_embs)
+    return embs, mask
+
+
 def forward_state(
     gamma: np.ndarray,
     beta: np.ndarray,
     raw: np.ndarray,
-    cand_embs: list,
+    cand_embs: CandidateBatch | list,
     tau: float,
 ) -> ForwardState:
-    """Run the batch forward pass against frozen candidate embeddings."""
+    """Run the batch forward pass against frozen candidate embeddings.
+
+    ``cand_embs`` is a ``CandidateBatch`` or one (m_i, d) array per query.
+    """
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     pre, norms, z = affine_normalize(gamma, beta, raw)
-    scores = [c @ z[i] for i, c in enumerate(cand_embs)]
-    probs = [softmax_temp(s, tau) for s in scores]
-    entropies = np.array([-(p * clamped_log(p)).sum() for p in probs])
+    embs, mask = _padded(cand_embs)
+    scores = np.full(mask.shape, -np.inf)
+    probs = np.zeros(mask.shape)
+    for rows, m in _size_groups(mask):
+        s = np.matmul(embs[rows, :m], z[rows, :, None])[:, :, 0]
+        scores[rows, :m] = s
+        probs[rows, :m] = softmax_temp(s, tau)
     return ForwardState(
         raw=np.asarray(raw, dtype=np.float64),
         gamma=gamma,
@@ -128,10 +163,11 @@ def forward_state(
         pre_norm=pre,
         norms=norms,
         z=z,
-        cand_embs=list(cand_embs),
+        cand_embs=embs,
+        mask=mask,
         scores=scores,
         probs=probs,
-        entropies=entropies,
+        entropies=-(probs * clamped_log(probs)).sum(axis=1),
         tau=tau,
     )
 
@@ -210,13 +246,10 @@ def consistency_pair(q: np.ndarray, cs) -> ConsistencyPair:
     zero; the hard negative is the argmax-consistency slot >= 1 (ties go to
     the lowest slot).
     """
-    if len(cs) < 2:
-        raise TooFewCandidatesError("need a positive and at least one negative")
-    q = np.asarray(q, dtype=np.float64)
-    cos = np.clip(cs.candidate_embeddings @ q, -1.0, 1.0)
-    c = np.clip((1.0 + cos) / 2.0, EPS_PROB, 1.0)
-    slot = 1 + int(np.argmax(c[1:]))
-    return ConsistencyPair(c_pos=float(c[0]), c_hardneg=float(c[slot]), hardneg_slot=slot)
+    scores = (cs.candidate_embeddings @ np.asarray(q, dtype=np.float64))[None, :]
+    c, slots = consistency_from_scores(scores, np.ones(scores.shape, dtype=bool))
+    slot = int(slots[0])
+    return ConsistencyPair(c_pos=float(c[0, 0]), c_hardneg=float(c[0, slot]), hardneg_slot=slot)
 
 
 def loss_em(preds) -> float:
@@ -260,124 +293,93 @@ def _gap_grad(z: np.ndarray, pos_mean: np.ndarray, delta_s: float):
     return float(val), dz
 
 
-def _entropy_score_grads(state: ForwardState) -> list:
+def _entropy_score_grads(state: ForwardState) -> np.ndarray:
     """dE_i/ds_i for every query; the probability clamp zeroes dead terms."""
-    out = []
-    for p in state.probs:
-        lnp = clamped_log(p)
-        g = -(lnp + (p > EPS_PROB).astype(np.float64))
-        out.append(p * (g - float(np.dot(p, g))) / state.tau)
-    return out
+    p = state.probs
+    g = -(clamped_log(p) + (p > EPS_PROB))
+    return p * (g - (p * g).sum(axis=1, keepdims=True)) / state.tau
 
 
-def _dz_from_score_grads(state: ForwardState, ds_list: list) -> np.ndarray:
-    dz = np.zeros_like(state.z)
-    for i, ds in enumerate(ds_list):
-        dz[i] = ds @ state.cand_embs[i]
-    return dz
+def _dz_from_score_grads(state: ForwardState, ds: np.ndarray) -> np.ndarray:
+    return np.matmul(ds[:, None, :], state.cand_embs)[:, 0]
 
 
 def _rem_grad(state: ForwardState, w: np.ndarray, n_act: int):
-    val = 0.0 if n_act == 0 else float((w * state.entropies).sum() / n_act)
-    dz = np.zeros_like(state.z)
     if n_act == 0:
-        return val, dz
-    ds_list = _entropy_score_grads(state)
-    for i in range(state.batch_size):
-        if w[i] != 0.0:
-            dz[i] = (w[i] / n_act) * (ds_list[i] @ state.cand_embs[i])
-    return val, dz
+        return 0.0, np.zeros_like(state.z)
+    dz = _dz_from_score_grads(state, _entropy_score_grads(state))
+    return float((w * state.entropies).sum() / n_act), (w / n_act)[:, None] * dz
 
 
-def consistency_from_scores(scores: np.ndarray):
-    """Map raw cosine scores to clamped consistencies and pick the hard slot."""
+def consistency_from_scores(scores: np.ndarray, mask: np.ndarray):
+    """Clamped consistencies of (b, m) cosine scores and each row's hard slot.
+
+    The hard slot is the highest-consistency valid slot >= 1; ties go to the
+    lowest slot.
+    """
+    if mask.shape[1] < 2 or not mask[:, 1].all():
+        raise TooFewCandidatesError("need a positive and at least one negative")
     c = np.clip((1.0 + np.clip(scores, -1.0, 1.0)) / 2.0, EPS_PROB, 1.0)
-    slot = 1 + int(np.argmax(c[1:]))
-    return c, slot
+    return c, 1 + np.argmax(np.where(mask[:, 1:], c[:, 1:], -np.inf), axis=1)
 
 
-def _rhm_grad(state: ForwardState, w: np.ndarray, n_act: int, slots: list):
-    dz = np.zeros_like(state.z)
+def _rhm_grad(state: ForwardState, w: np.ndarray, n_act: int, slots: np.ndarray):
     if n_act == 0:
-        return 0.0, dz
-    total = 0.0
-    for i in range(state.batch_size):
-        c, _ = consistency_from_scores(state.scores[i])
-        slot = slots[i]
-        h = float(np.log(c[slot]) - np.log(c[0]))
-        total += w[i] * h
-        if w[i] == 0.0:
-            continue
-        raw_c = (1.0 + np.clip(state.scores[i], -1.0, 1.0)) / 2.0
-        act_pos = 1.0 if EPS_PROB < raw_c[0] < 1.0 else 0.0
-        act_hard = 1.0 if EPS_PROB < raw_c[slot] < 1.0 else 0.0
-        dz[i] = (w[i] / n_act) * (
-            act_hard / (2.0 * c[slot]) * state.cand_embs[i][slot]
-            - act_pos / (2.0 * c[0]) * state.cand_embs[i][0]
-        )
-    return float(total / n_act), dz
+        return 0.0, np.zeros_like(state.z)
+    rows = np.arange(state.batch_size)
+    # Column 0 is the positive, column 1 the hard negative.
+    pair = state.scores[rows[:, None], np.stack([np.zeros_like(slots), slots], axis=1)]
+    raw_c = (1.0 + np.clip(pair, -1.0, 1.0)) / 2.0
+    c = np.clip(raw_c, EPS_PROB, 1.0)
+    h = np.log(c[:, 1]) - np.log(c[:, 0])
+    live = (EPS_PROB < raw_c) & (raw_c < 1.0)
+    coef = (w / n_act)[:, None] * live / (2.0 * c)
+    dz = coef[:, 1:] * state.cand_embs[rows, slots] - coef[:, :1] * state.cand_embs[:, 0]
+    return float((w * h).sum() / n_act), dz
 
 
 def _em_grad(state: ForwardState):
     val = float(state.entropies.mean())
-    ds_list = _entropy_score_grads(state)
-    dz = _dz_from_score_grads(state, ds_list) / state.batch_size
-    return val, dz
+    return val, _dz_from_score_grads(state, _entropy_score_grads(state)) / state.batch_size
 
 
-def _kl_grad(state: ForwardState, src_probs: list):
+def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     """Mean KL from frozen source predictions to current ones, with gradient."""
-    if len(src_probs) != state.batch_size:
-        raise SupportMismatchError("source predictions do not cover the batch")
+    q = np.asarray(src_probs, dtype=np.float64)
+    p = state.probs
+    if q.shape != p.shape or np.any(q[~state.mask] != 0.0):
+        raise SupportMismatchError(
+            f"source predictions {q.shape} do not share the candidate supports {p.shape}"
+        )
     b = state.batch_size
-    val = 0.0
-    ds_list = []
-    for i in range(b):
-        q = np.asarray(src_probs[i], dtype=np.float64)
-        p = state.probs[i]
-        if q.shape != p.shape:
-            raise SupportMismatchError(
-                f"candidate support differs for query {i}: {q.shape} vs {p.shape}"
-            )
-        val += float(np.sum(q * (clamped_log(q) - clamped_log(p))))
-        live = (p > EPS_PROB).astype(np.float64)
-        s_live = float(np.dot(q, live))
-        ds_list.append((p * s_live - q * live) / (b * state.tau))
-    dz = _dz_from_score_grads(state, ds_list)
-    return val / b, dz
+    val = float((q * (clamped_log(q) - clamped_log(p))).sum()) / b
+    live = (p > EPS_PROB).astype(np.float64)
+    s_live = np.zeros((b, 1))
+    for rows, m in _size_groups(state.mask):
+        s_live[rows] = np.matmul(q[rows, None, :m], live[rows, :m, None])[:, 0]
+    ds = (p * s_live - q * live) / (b * state.tau)
+    return val, _dz_from_score_grads(state, ds)
 
 
 def _pl_grad(state: ForwardState, labels: np.ndarray):
     """Cross-entropy against fixed pseudo-labels, with gradient."""
     b = state.batch_size
-    val = 0.0
-    ds_list = []
-    for i in range(b):
-        p = state.probs[i]
-        y = int(labels[i])
-        val -= float(clamped_log(p[y : y + 1])[0])
-        live = 1.0 if p[y] > EPS_PROB else 0.0
-        ds = live * p.copy()
-        ds[y] -= live
-        ds_list.append(ds / (b * state.tau))
-    dz = _dz_from_score_grads(state, ds_list)
-    return val / b, dz
+    rows = np.arange(b)
+    p_y = state.probs[rows, labels]
+    live = p_y > EPS_PROB
+    ds = live[:, None] * state.probs
+    ds[rows, labels] -= live
+    return float(-clamped_log(p_y).sum()) / b, _dz_from_score_grads(state, ds / (b * state.tau))
 
 
-def hard_negative_slots(state: ForwardState) -> list:
+def hard_negative_slots(state: ForwardState) -> np.ndarray:
     """Argmax-consistency negative slot per query, frozen for the step."""
-    slots = []
-    for s in state.scores:
-        if s.shape[0] < 2:
-            raise TooFewCandidatesError("need a positive and at least one negative")
-        _, slot = consistency_from_scores(s)
-        slots.append(slot)
-    return slots
+    return consistency_from_scores(state.scores, state.mask)[1]
 
 
 def positives_mean(state: ForwardState) -> np.ndarray:
     """Mean of the per-query positive embeddings (candidate slot 0)."""
-    return np.mean([c[0] for c in state.cand_embs], axis=0)
+    return state.cand_embs[:, 0].mean(axis=0)
 
 
 def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):
@@ -389,30 +391,18 @@ def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):
     their gradients vanish instead of faulting).
     """
     e_b = constraints.entropy_threshold
-    if e_b > 0:
-        w = rem_weights(state.entropies, e_b)
-    else:
-        w = np.zeros(state.batch_size)
+    w = rem_weights(state.entropies, e_b) if e_b > 0 else np.zeros(state.batch_size)
     n_act = int(np.count_nonzero(w))
 
     l_u, dz_u = _uniformity_grad(state.z)
     l_g, dz_g = _gap_grad(state.z, positives_mean(state), constraints.gap_source)
     l_rem, dz_rem = _rem_grad(state, w, n_act)
-    if n_act == 0:
-        l_rhm, dz_rhm = 0.0, np.zeros_like(state.z)
-    else:
-        l_rhm, dz_rhm = _rhm_grad(state, w, n_act, hard_negative_slots(state))
+    # A fully filtered batch never asks for hard negatives.
+    l_rhm, dz_rhm = _rhm_grad(state, w, n_act, hard_negative_slots(state) if n_act else None)
 
-    breakdown = LossBreakdown(
-        l_u=l_u,
-        l_g=l_g,
-        l_rem=l_rem,
-        l_rhm=l_rhm,
-        l_total=l_u + l_g + l_rem + l_rhm,
-        active_count=n_act,
-    )
-    grad = param_grad(state, dz_u + dz_g + dz_rem + dz_rhm)
-    return breakdown, grad
+    total = l_u + l_g + l_rem + l_rhm
+    breakdown = LossBreakdown(l_u, l_g, l_rem, l_rhm, l_total=total, active_count=n_act)
+    return breakdown, param_grad(state, dz_u + dz_g + dz_rem + dz_rhm)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +449,15 @@ def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float)
 
     _, _, z = affine_normalize(gamma, beta, raw)
     cands = build_candidate_sets(z, gallery, cents, k_eff)
-    cand_embs = [c.candidate_embeddings for c in cands]
-    state = forward_state(gamma, beta, raw, cand_embs, tau)
-
-    src_gamma = np.ones(dim)
-    src_beta = np.zeros(dim)
-    src_state = forward_state(src_gamma, src_beta, raw, cand_embs, tau)
+    state = forward_state(gamma, beta, raw, cands, tau)
+    src_state = forward_state(np.ones(dim), np.zeros(dim), raw, cands, tau)
 
     delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
     delta_s = max(0.0, delta_t - 0.3)
     e_b = 1.2 * float(np.median(state.entropies))
     if e_b <= 0:
         e_b = 1e-3
-    return state, src_state, cand_embs, raw, delta_s, e_b
+    return state, src_state, cands, raw, delta_s, e_b
 
 
 def gradient_check(
@@ -496,7 +482,7 @@ def gradient_check(
 
     for dim in dims:
         for inst in range(instances):
-            state, src_state, cand_embs, raw, delta_s, e_b = _gradcheck_instance(
+            state, src_state, cands, raw, delta_s, e_b = _gradcheck_instance(
                 seed * 10_000 + inst, dim, b, k, n, tau
             )
             w = rem_weights(state.entropies, e_b)
@@ -506,7 +492,7 @@ def gradient_check(
             src_probs = src_state.probs
 
             def restate(theta):
-                return forward_state(theta[:dim], theta[dim:], raw, cand_embs, tau)
+                return forward_state(theta[:dim], theta[dim:], raw, cands, tau)
 
             def make_value(term):
                 def value(theta):

@@ -2,14 +2,16 @@
 
 A query's prediction is taken over a pruned candidate list instead of the whole
 gallery: its own 1-NN as the positive, the other batch members' top-k neighbors
-as sample negatives, and the gallery centroids as cluster negatives. Pairs that
-look source-domain-like feed a queue from which the gap and entropy-threshold
+as sample negatives, and the gallery centroids as cluster negatives. A batch's
+lists are held as one zero-padded tensor with a validity mask. Pairs that look
+source-domain-like feed a queue from which the gap and entropy-threshold
 constraints are estimated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +47,30 @@ class CandidateSet:
 
 
 @dataclass(frozen=True)
+class CandidateBatch(Sequence):
+    """Candidate lists of a batch, zero-padded to the longest list.
+
+    ``ids`` (b, m_max) and ``embs`` (b, m_max, d) hold each query's slots in
+    ``CandidateSet`` order; ``mask`` is True on the real slots, a prefix of
+    every row. Padded slots hold id 0 and zero rows. Item ``i`` is query i's
+    ``CandidateSet``, its embeddings a view into ``embs``.
+    """
+
+    ids: np.ndarray
+    mask: np.ndarray
+    embs: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i: int) -> CandidateSet:
+        i = range(len(self))[i]
+        m = int(np.count_nonzero(self.mask[i]))
+        negatives = tuple(self.ids[i, 1:m].tolist())
+        return CandidateSet(i, int(self.ids[i, 0]), negatives, self.embs[i, :m])
+
+
+@dataclass(frozen=True)
 class RefinedPrediction:
     """Softmax distribution over a candidate set."""
 
@@ -54,28 +80,25 @@ class RefinedPrediction:
 
 
 @dataclass(frozen=True)
-class QueueEntry:
-    query_emb: np.ndarray
-    positive_emb: np.ndarray
-    score_s: float
-    entropy_at_enqueue: float
-
-
-@dataclass(frozen=True)
 class SourceLikeQueue:
-    """At most ``capacity`` entries, kept sorted ascending by score.
+    """At most ``capacity`` query/positive pairs, rows sorted ascending by score.
 
-    Ties on equal scores resolve toward the earlier-inserted entry; entropy
+    Ties on equal scores resolve toward the earlier-inserted pair; entropy
     values are frozen at enqueue time and never recomputed.
     """
 
     capacity: int
-    entries: tuple = field(default=())
-    seqs: tuple = field(default=())
-    next_seq: int = 0
+    query_embs: np.ndarray
+    positive_embs: np.ndarray
+    scores: np.ndarray
+    entropies: np.ndarray
+
+    @classmethod
+    def empty(cls, capacity: int, dim: int) -> "SourceLikeQueue":
+        return cls(capacity, np.empty((0, dim)), np.empty((0, dim)), np.empty(0), np.empty(0))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.scores.size
 
 
 @dataclass(frozen=True)
@@ -88,7 +111,7 @@ class ConstraintEstimates:
 
 def build_candidate_sets(
     batch_z: np.ndarray, gallery: Gallery, centroids: CentroidSet, k: int
-) -> list:
+) -> CandidateBatch:
     """Candidate sets for every query in a batch of unit-norm embeddings.
 
     Negatives keep their first occurrence: sample negatives in ascending
@@ -102,45 +125,41 @@ def build_candidate_sets(
         raise InvalidKError(f"k must be >= 1, got {k}")
     b = batch_z.shape[0]
     table = knn_table(gallery, batch_z, k)
-    pos_ids = table[:, 0]
+    pos = table[:, 0]
 
-    out = []
-    for i in range(b):
-        pos = int(pos_ids[i])
-        seen = {pos}
-        neg_gallery = []
-        for j in range(b):
-            if j == i:
-                continue
-            for g in table[j]:
-                g = int(g)
-                if g not in seen:
-                    seen.add(g)
-                    neg_gallery.append(g)
-        pos_emb = gallery.items[pos]
-        cent_rows = []
-        cent_refs = []
-        for c_idx in range(centroids.k):
-            c_emb = centroids.centroids[c_idx]
-            if np.linalg.norm(c_emb - pos_emb) <= _CENTROID_COLLISION_TOL:
-                continue
-            cent_rows.append(c_emb)
-            cent_refs.append(-(c_idx + 1))
-        rows = [pos_emb]
-        if neg_gallery:
-            rows.append(gallery.items[neg_gallery])
-        if cent_rows:
-            rows.append(np.vstack(cent_rows))
-        embs = np.vstack(rows) if len(rows) > 1 else pos_emb[None, :]
-        out.append(
-            CandidateSet(
-                query_index=i,
-                positive_id=pos,
-                negative_ids=tuple(neg_gallery) + tuple(cent_refs),
-                candidate_embeddings=embs,
-            )
-        )
-    return out
+    # Query i meets each id at its first slot outside row i: the id's first
+    # slot, or its first slot in another row when the first lies in row i.
+    # Keeping those slots in table order gives first-occurrence order.
+    flat = table.ravel()
+    n = flat.size
+    row = np.arange(n) // table.shape[1]
+    _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
+    first_row = row[first][inv]
+    other = np.flatnonzero(row != first_row)
+    second = np.full(first.size, n)
+    seen, at = np.unique(inv[other], return_index=True)
+    second[seen] = other[at]
+    meet = np.where(first_row == np.arange(b)[:, None], second[inv], first[inv])
+    is_neg = (meet == np.arange(n)) & (flat != pos[:, None])
+
+    cents = centroids.centroids
+    collide = (
+        np.linalg.norm(cents[None, :, :] - gallery.items[pos][:, None, :], axis=2)
+        <= _CENTROID_COLLISION_TOL
+    )
+    refs = np.hstack(
+        [pos[:, None], np.broadcast_to(flat, (b, n)), np.tile(-1 - np.arange(centroids.k), (b, 1))]
+    )
+    valid = np.hstack([np.ones((b, 1), dtype=bool), is_neg, ~collide])
+    sizes = np.count_nonzero(valid, axis=1)
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = refs[valid]
+    embs = gallery.items[np.maximum(ids, 0)]
+    at_centroid = ids < 0
+    embs[at_centroid] = cents[-1 - ids[at_centroid]]
+    embs[~mask] = 0.0
+    return CandidateBatch(ids=ids, mask=mask, embs=embs)
 
 
 def build_candidate_set(
@@ -167,43 +186,47 @@ def refined_prediction(q: np.ndarray, cs: CandidateSet, tau: float) -> RefinedPr
 
 def source_likeness(
     q: np.ndarray, pos: np.ndarray, q_center: np.ndarray, g_center: np.ndarray
-) -> float:
-    """Score of a query/positive pair; smaller means more source-domain-like.
+) -> np.ndarray:
+    """Scores of query/positive pairs (rows of ``q`` and ``pos``); smaller is more source-like.
 
     Twice the pair distance minus the distances of each member to its batch
     center: tight pairs far from the centers score lowest.
     """
-    q = np.asarray(q, dtype=np.float64)
-    pos = np.asarray(pos, dtype=np.float64)
-    q_center = np.asarray(q_center, dtype=np.float64)
-    g_center = np.asarray(g_center, dtype=np.float64)
-    if not (q.shape == pos.shape == q_center.shape == g_center.shape):
-        raise DimMismatchError("all four vectors must share one dimension")
-    return float(
-        2.0 * np.linalg.norm(q - pos)
-        - (np.linalg.norm(q - q_center) + np.linalg.norm(pos - g_center))
+    q, pos, q_center, g_center = (
+        np.asarray(a, dtype=np.float64) for a in (q, pos, q_center, g_center)
+    )
+    if not (q.shape == pos.shape and q.shape[-1:] == q_center.shape == g_center.shape):
+        raise DimMismatchError("pairs and centers must share one dimension")
+    return 2.0 * np.linalg.norm(q - pos, axis=-1) - (
+        np.linalg.norm(q - q_center, axis=-1) + np.linalg.norm(pos - g_center, axis=-1)
     )
 
 
-def update_queue(queue: SourceLikeQueue, entries, capacity: int | None = None) -> SourceLikeQueue:
-    """Merge new entries and keep the ``capacity`` smallest-score ones.
+def update_queue(
+    queue: SourceLikeQueue,
+    query_embs: np.ndarray,
+    positive_embs: np.ndarray,
+    scores: np.ndarray,
+    entropies: np.ndarray,
+) -> SourceLikeQueue:
+    """Merge a batch of pairs and keep the ``capacity`` smallest-score ones.
 
     Membership is the global best-by-score over everything seen so far, not
-    FIFO. Returns a new queue; the input is never mutated.
+    FIFO. Held rows precede the new ones and equal scores among them are in
+    insertion order, so a stable sort on score is the sort on (score,
+    insertion order). Returns a new queue; the input is never mutated.
     """
-    cap = queue.capacity if capacity is None else capacity
-    merged = list(zip(queue.entries, queue.seqs))
-    seq = queue.next_seq
-    for e in entries:
-        merged.append((e, seq))
-        seq += 1
-    merged.sort(key=lambda pair: (pair[0].score_s, pair[1]))
-    merged = merged[:cap]
+    keep = np.argsort(np.concatenate([queue.scores, scores]), kind="stable")[: queue.capacity]
+
+    def merged(held, new):
+        return np.concatenate([held, np.asarray(new, dtype=np.float64)])[keep]
+
     return SourceLikeQueue(
-        capacity=cap,
-        entries=tuple(e for e, _ in merged),
-        seqs=tuple(s for _, s in merged),
-        next_seq=seq,
+        capacity=queue.capacity,
+        query_embs=merged(queue.query_embs, query_embs),
+        positive_embs=merged(queue.positive_embs, positive_embs),
+        scores=merged(queue.scores, scores),
+        entropies=merged(queue.entropies, entropies),
     )
 
 
@@ -211,9 +234,8 @@ def estimate_constraints(queue: SourceLikeQueue) -> ConstraintEstimates:
     """Gap between the queue-side means and the max stored entropy."""
     if len(queue) == 0:
         raise EmptyQueueError("cannot estimate constraints from an empty queue")
-    q_mean = np.mean([e.query_emb for e in queue.entries], axis=0)
-    g_mean = np.mean([e.positive_emb for e in queue.entries], axis=0)
+    gap = queue.query_embs.mean(axis=0) - queue.positive_embs.mean(axis=0)
     return ConstraintEstimates(
-        gap_source=float(np.linalg.norm(q_mean - g_mean)),
-        entropy_threshold=float(max(e.entropy_at_enqueue for e in queue.entries)),
+        gap_source=float(np.linalg.norm(gap)),
+        entropy_threshold=float(queue.entropies.max()),
     )

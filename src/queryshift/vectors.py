@@ -27,13 +27,12 @@ def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
 
 
 def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax with max-subtraction for numerical stability."""
+    """Temperature softmax over the last axis, with max-subtraction for stability."""
     if not tau > 0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {tau}")
     s = np.asarray(scores, dtype=np.float64) / tau
-    s = s - s.max()
-    e = np.exp(s)
-    return e / e.sum()
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def clamped_log(p: np.ndarray) -> np.ndarray:

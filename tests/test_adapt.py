@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from queryshift.errors import (
     UnknownBaselineError,
     ZeroVectorError,
 )
+from queryshift import adapt, gallery, losses, refine, vectors
 from queryshift.gallery import Gallery
 from queryshift.losses import finite_diff_grad, forward_state, param_grad
 from queryshift.synth import SyntheticSpec, generate_benchmark
@@ -198,6 +200,51 @@ class TestSessionConfig:
         gallery, _, _ = small_benchmark(gallery=8, classes=8)
         with pytest.raises(InvalidKError):
             AdaptationSession(gallery, SessionConfig(k=8, batch_size=4))
+
+
+# Primitives of the batch path that a per-query loop would call once per row.
+PER_ROW_PRIMITIVES = {
+    vectors: ("softmax_temp", "clamped_log"),
+    losses: ("forward_state", "affine_normalize", "consistency_from_scores", "param_grad"),
+    refine: ("build_candidate_sets", "source_likeness", "update_queue", "estimate_constraints"),
+    gallery: ("knn_table",),
+}
+
+
+def primitive_calls(monkeypatch, b, k=4):
+    """Calls of each primitive during the first ``adapt_batch`` of b queries."""
+    gal, stream, _ = small_benchmark(seed=14, stream=128)
+    session = AdaptationSession(gal, SessionConfig(k=k, batch_size=b, decouple=True))
+    counts = Counter()
+    with monkeypatch.context() as patch:
+        for home, names in PER_ROW_PRIMITIVES.items():
+            for name in names:
+                fn = getattr(home, name)
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                for module in (vectors, losses, refine, gallery, adapt):
+                    if getattr(module, name, None) is fn:
+                        patch.setattr(module, name, counted)
+        session.adapt_batch(stream[:b])
+    return counts
+
+
+class TestBatchedSessionPath:
+    def test_primitive_calls_do_not_grow_with_batch(self, monkeypatch):
+        k = 4
+        small = primitive_calls(monkeypatch, 8, k)
+        large = primitive_calls(monkeypatch, 64, k)
+        # The softmax runs once per candidate count (at most k of them) in
+        # each of the two forward passes, never once per query.
+        assert 0 < small.pop("softmax_temp") <= 2 * k
+        assert 0 < large.pop("softmax_temp") <= 2 * k
+        assert small == large
+        assert set(small) == {n for names in PER_ROW_PRIMITIVES.values() for n in names} - {
+            "softmax_temp"
+        }
 
 
 class TestAdaptBatch:

@@ -415,6 +415,13 @@ class TestMainEntry:
             synth_config_dict(seed=True),
             corruption_config_dict(delta=True),
             corruption_config_dict(domain=1.7),
+            corruption_config_dict(parts=5),
+            config_dict(synth=5),
+            synth_config_dict(corruptions=5),
+            synth_config_dict(corruptions=[5]),
+            {"method": "none", "paths": 5},
+            {"method": "none", "paths": {"gallery": 5, "queries": None, "ground_truth": "t"}},
+            {"method": "none", "paths": {"gallery": "g", "queries": "q", "ground_truth": ["t"]}},
         ):
             cfg_path.write_text(json.dumps(bad), encoding="utf-8")
             assert main(["--config", str(cfg_path), "adapt"]) == 2

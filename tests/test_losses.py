@@ -7,15 +7,21 @@ from queryshift.errors import (
     EmptyBatchError,
     NonPositiveThresholdError,
     SizeMismatchError,
+    SupportMismatchError,
     TooFewCandidatesError,
 )
 from queryshift.gallery import Gallery, build_centroids
 from queryshift.losses import (
     ConsistencyPair,
+    _em_grad,
     _gap_grad,
+    _gradcheck_instance,
+    _kl_grad,
+    _pl_grad,
     _rem_grad,
     _rhm_grad,
     _uniformity_grad,
+    consistency_from_scores,
     consistency_pair,
     finite_diff_grad,
     forward_state,
@@ -37,7 +43,7 @@ from queryshift.refine import (
     RefinedPrediction,
     build_candidate_sets,
 )
-from queryshift.vectors import l2_normalize_rows
+from queryshift.vectors import EPS_PROB, l2_normalize_rows
 
 
 def make_pred(probs):
@@ -372,3 +378,172 @@ class TestGradientCheckHarness:
         report = gradient_check(seed=3, dims=(8,), instances=20, b=6, k=3)
         for term, err in report["targets"].items():
             assert err < 1e-4, f"{term} off by {err}"
+
+
+def ragged_instance(sizes=(2, 6, 11, 3, 4), d=6, seed=30, tau=0.5):
+    """Forward state over explicit candidate lists of different lengths."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((len(sizes), d))
+    cand_embs = [l2_normalize_rows(rng.standard_normal((m, d))) for m in sizes]
+    gamma = 1.0 + 0.1 * rng.standard_normal(d)
+    beta = 0.1 * rng.standard_normal(d)
+    return forward_state(gamma, beta, raw, cand_embs, tau), raw, cand_embs
+
+
+def per_query_reference(state, src_probs, w, n_act, slots, labels):
+    """Loss values and dz of rem, rhm, em, kl and pl, computed query by query."""
+    b, tau = state.batch_size, state.tau
+    out = {t: [0.0, np.zeros_like(state.z)] for t in ("rem", "rhm", "em", "kl", "pl")}
+    for i in range(b):
+        m = int(state.mask[i].sum())
+        embs, p, s = state.cand_embs[i, :m], state.probs[i, :m], state.scores[i, :m]
+        lnp = np.log(np.maximum(p, EPS_PROB))
+        live = (p > EPS_PROB).astype(np.float64)
+        g = -(lnp + live)
+        dz_entropy = (p * (g - np.dot(p, g)) / tau) @ embs
+        entropy = -(p * lnp).sum()
+        out["rem"][0] += w[i] * entropy / n_act
+        out["rem"][1][i] = (w[i] / n_act) * dz_entropy
+        out["em"][0] += entropy / b
+        out["em"][1][i] = dz_entropy / b
+        raw_c = (1.0 + np.clip(s, -1.0, 1.0)) / 2.0
+        c = np.clip(raw_c, EPS_PROB, 1.0)
+        j = slots[i]
+        act_j, act_0 = (float(EPS_PROB < raw_c[t] < 1.0) for t in (j, 0))
+        out["rhm"][0] += w[i] * (np.log(c[j]) - np.log(c[0])) / n_act
+        out["rhm"][1][i] = (w[i] / n_act) * (
+            act_j / (2.0 * c[j]) * embs[j] - act_0 / (2.0 * c[0]) * embs[0]
+        )
+        q = src_probs[i, :m]
+        out["kl"][0] += np.sum(q * (np.log(np.maximum(q, EPS_PROB)) - lnp)) / b
+        out["kl"][1][i] = ((p * np.dot(q, live) - q * live) / (b * tau)) @ embs
+        y = labels[i]
+        ds = live[y] * p
+        ds[y] -= live[y]
+        out["pl"][0] -= np.log(max(p[y], EPS_PROB)) / b
+        out["pl"][1][i] = (ds / (b * tau)) @ embs
+    return out
+
+
+class TestPaddedBatch:
+    @pytest.mark.parametrize("tau", [0.5, 0.02])
+    def test_losses_match_per_query_loop(self, tau):
+        # Batched sums run in another order: float64 values over at most 11
+        # candidates agree to 1e-12 relative.
+        state, raw, cand_embs = ragged_instance(tau=tau)
+        src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, tau)
+        w = rem_weights(state.entropies, 1.2 * float(np.median(state.entropies)))
+        n_act = int(np.count_nonzero(w))
+        slots = hard_negative_slots(state)
+        labels = np.argmax(src.probs, axis=1)
+        ref = per_query_reference(state, src.probs, w, n_act, slots, labels)
+        got = {
+            "rem": _rem_grad(state, w, n_act),
+            "rhm": _rhm_grad(state, w, n_act, slots),
+            "em": _em_grad(state),
+            "kl": _kl_grad(state, src.probs),
+            "pl": _pl_grad(state, labels),
+        }
+        for term, (val, dz) in got.items():
+            want_val, want_dz = ref[term]
+            assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300), term
+            scale = np.abs(want_dz).max()
+            np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 * scale, err_msg=term)
+
+    def test_padded_slots_have_zero_probability(self):
+        state, _, cand_embs = ragged_instance()
+        sizes = np.array([c.shape[0] for c in cand_embs])
+        assert state.probs.shape == (5, sizes.max())
+        assert np.array_equal(state.mask, np.arange(sizes.max()) < sizes[:, None])
+        assert np.all(state.probs[~state.mask] == 0.0)
+        assert np.all(state.scores[~state.mask] == -np.inf)
+        np.testing.assert_allclose(state.probs.sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_rows_equal_their_unpadded_forward_pass(self):
+        state, raw, cand_embs = ragged_instance()
+        for i, c in enumerate(cand_embs):
+            alone = forward_state(state.gamma, state.beta, raw[i : i + 1], [c], state.tau)
+            m = c.shape[0]
+            assert np.array_equal(state.scores[i, :m], alone.scores[0])
+            assert np.array_equal(state.probs[i, :m], alone.probs[0])
+            assert state.entropies[i] == pytest.approx(alone.entropies[0], rel=1e-13)
+
+    def test_padded_slot_never_hard_negative(self):
+        # Zero scores on padded slots would beat every valid negative here
+        # (consistency 0.5 against at most 0.3); the mask must exclude them.
+        scores = np.array([[0.9, -0.6, -0.4, 0.0, 0.0], [0.8, -0.9, -0.9, -0.9, -0.5]])
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+        c, slots = consistency_from_scores(scores, mask)
+        assert slots.tolist() == [2, 4]
+        state, _, cand_embs = ragged_instance(tau=0.02)
+        slots = hard_negative_slots(state)
+        assert np.all(slots < state.mask.sum(axis=1))
+        assert np.all(state.mask[np.arange(5), slots])
+
+    def test_hard_negative_ties_go_to_lowest_slot(self):
+        scores = np.array([[0.5, 0.2, 0.7, 0.7, 0.7]])
+        _, slots = consistency_from_scores(scores, np.ones((1, 5), dtype=bool))
+        assert slots.tolist() == [2]
+
+    def test_too_few_candidates_in_one_row(self):
+        state, _, _ = ragged_instance(sizes=(3, 1, 4))
+        with pytest.raises(TooFewCandidatesError):
+            hard_negative_slots(state)
+
+    def test_losses_finite_on_ragged_batch(self):
+        for tau in (0.5, 0.02):
+            state, raw, cand_embs = ragged_instance(tau=tau)
+            src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, tau)
+            assert np.all(np.isfinite(state.entropies))
+            e_b = float(np.max(state.entropies)) * 1.5
+            constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
+            breakdown, grad = total_loss_and_grad(state, constraints)
+            assert np.isfinite(breakdown.l_total)
+            assert np.all(np.isfinite(grad.flat()))
+            for val, dz in (
+                _kl_grad(state, src.probs),
+                _em_grad(state),
+                _pl_grad(state, np.argmax(src.probs, axis=1)),
+            ):
+                assert np.isfinite(val) and np.all(np.isfinite(dz))
+
+    def test_kl_rejects_mass_on_padded_slots(self):
+        state, _, _ = ragged_instance()
+        src = state.probs.copy()
+        src[0, -1] = 0.1
+        with pytest.raises(SupportMismatchError):
+            _kl_grad(state, src)
+
+    def test_gradient_gate_on_ragged_batch(self):
+        state, raw, cand_embs = ragged_instance()
+        src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, state.tau)
+        e_b = 1.2 * float(np.median(state.entropies))
+        w = rem_weights(state.entropies, e_b)
+        n_act = int(np.count_nonzero(w))
+        assert 0 < n_act < state.batch_size
+        slots = hard_negative_slots(state)
+        labels = np.argmax(src.probs, axis=1)
+        terms = {
+            "rem": lambda st: _rem_grad(st, w, n_act),
+            "rhm": lambda st: _rhm_grad(st, w, n_act, slots),
+            "em": _em_grad,
+            "kl": lambda st: _kl_grad(st, src.probs),
+            "pl": lambda st: _pl_grad(st, labels),
+        }
+        d = state.dim
+        theta0 = np.concatenate([state.gamma, state.beta])
+        for name, term in terms.items():
+            analytic = param_grad(state, term(state)[1]).flat()
+
+            def value(theta, term=term):
+                return term(forward_state(theta[:d], theta[d:], raw, cand_embs, state.tau))[0]
+
+            numeric = finite_diff_grad(value, theta0)
+            scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
+            assert np.abs(analytic - numeric).max() / scale < 1e-4, name
+
+    def test_gradient_check_instances_are_ragged(self):
+        # The instances of the gradient gate (criterion 1) mix candidate counts.
+        for inst in range(3):
+            state = _gradcheck_instance(inst, 16, 8, 4, 48, 0.5)[0]
+            assert len(set(state.mask.sum(axis=1).tolist())) > 1

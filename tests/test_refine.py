@@ -8,9 +8,9 @@ from queryshift.errors import (
     EmptyQueueError,
     IndexOutOfRangeError,
 )
-from queryshift.gallery import Gallery, build_centroids
+from queryshift.gallery import CentroidSet, Gallery, build_centroids, knn_table
 from queryshift.refine import (
-    QueueEntry,
+    _CENTROID_COLLISION_TOL,
     SourceLikeQueue,
     build_candidate_set,
     build_candidate_sets,
@@ -49,6 +49,103 @@ def oracle_candidate_ids(batch, gallery, k, i):
             if g != pos and g not in negs:
                 negs.append(g)
     return pos, negs
+
+
+def reference_candidate_sets(batch_z, gallery, centroids, k):
+    """Query-by-query dedupe loop: (positive id, negative refs, embeddings) per query."""
+    table = knn_table(gallery, batch_z, k)
+    out = []
+    for i in range(batch_z.shape[0]):
+        pos = int(table[i, 0])
+        seen = {pos}
+        negs = []
+        for j in range(batch_z.shape[0]):
+            if j == i:
+                continue
+            for g in table[j]:
+                if int(g) not in seen:
+                    seen.add(int(g))
+                    negs.append(int(g))
+        rows = [gallery.items[pos]] + [gallery.items[g] for g in negs]
+        for c in range(centroids.k):
+            emb = centroids.centroids[c]
+            if np.linalg.norm(emb - gallery.items[pos]) > _CENTROID_COLLISION_TOL:
+                negs.append(-(c + 1))
+                rows.append(emb)
+        out.append((pos, negs, np.vstack(rows)))
+    return out
+
+
+def assert_matches_reference(batch, gallery, cents, k):
+    cands = build_candidate_sets(batch, gallery, cents, k)
+    ref = reference_candidate_sets(batch, gallery, cents, k)
+    assert len(cands) == len(ref)
+    for i, (cs, (pos, negs, embs)) in enumerate(zip(cands, ref)):
+        assert cs.query_index == i
+        assert cs.positive_id == pos
+        assert cs.negative_ids == tuple(negs)
+        assert len(cs) == embs.shape[0]
+        assert np.array_equal(cs.candidate_embeddings, embs)
+        assert np.shares_memory(cs.candidate_embeddings, cands.embs)
+    # Padding: a prefix mask, zero rows past it.
+    sizes = cands.mask.sum(axis=1)
+    assert np.array_equal(cands.mask, np.arange(cands.mask.shape[1]) < sizes[:, None])
+    assert not cands.embs[~cands.mask].any()
+    return cands
+
+
+class TestCandidatesMatchReferenceLoop:
+    def test_random_batches(self):
+        rng = np.random.default_rng(20)
+        for trial in range(60):
+            n = int(rng.integers(4, 80))
+            d = int(rng.integers(2, 7))
+            g = random_gallery(n, d, 100 + trial)
+            cents = build_centroids(g, int(rng.integers(1, min(n, 6) + 1)), seed=trial)
+            batch = random_queries(int(rng.integers(1, 17)), d, 200 + trial)
+            assert_matches_reference(batch, g, cents, int(rng.integers(1, n + 1)))
+
+    def test_single_query_has_only_cluster_negatives(self):
+        g = random_gallery(30, 5, 21)
+        cents = build_centroids(g, 4, seed=0)
+        cands = assert_matches_reference(random_queries(1, 5, 22), g, cents, 6)
+        assert cands.ids.shape == (1, 5)
+        assert cands[0].negative_ids == (-1, -2, -3, -4)
+
+    def test_duplicate_queries_and_widely_shared_ids(self):
+        # Tight clusters of identical and near-identical queries: most ids
+        # appear in many rows, and duplicate rows share every id.
+        g = random_gallery(40, 4, 23)
+        cents = build_centroids(g, 3, seed=1)
+        base = random_queries(3, 4, 24)
+        batch = l2_normalize_rows(np.repeat(base, 5, axis=0) + 1e-3 * random_queries(15, 4, 25))
+        batch[5] = batch[0]
+        batch[6] = batch[0]
+        cands = assert_matches_reference(batch, g, cents, 8)
+        assert cands[5].negative_ids == cands[6].negative_ids
+
+    def test_centroid_colliding_with_the_positive(self):
+        g = random_gallery(24, 4, 26)
+        batch = g.items[[3, 7, 11]]
+        # Centroid 0 is item 3 exactly, centroid 1 is within tolerance of item
+        # 7, centroid 2 collides with nothing.
+        near = g.items[7] + 0.25 * _CENTROID_COLLISION_TOL
+        other = l2_normalize_rows(np.ones((1, 4)))[0]
+        cents = CentroidSet(np.vstack([g.items[3], near, other]), 0.0, (0.0,))
+        cands = assert_matches_reference(batch, g, cents, 4)
+        assert cands[0].negative_ids[-2:] == (-2, -3)
+        assert cands[1].negative_ids[-2:] == (-1, -3)
+        assert cands[2].negative_ids[-3:] == (-1, -2, -3)
+
+    def test_k_is_gallery_size_minus_one(self):
+        g = random_gallery(12, 3, 27)
+        cents = build_centroids(g, 2, seed=2)
+        cands = assert_matches_reference(random_queries(5, 3, 28), g, cents, 11)
+        # Every other gallery id is a sample negative of every query.
+        for cs in cands:
+            assert sorted(r for r in cs.negative_ids if r >= 0) == sorted(
+                set(range(12)) - {cs.positive_id}
+            )
 
 
 class TestBuildCandidateSet:
@@ -187,25 +284,34 @@ class TestSourceLikeness:
             source_likeness(np.ones(2), np.ones(3), np.ones(2), np.ones(2))
 
 
-def entry(s, h=0.0, d=2, seed=0):
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-    return QueueEntry(query_emb=q, positive_emb=q.copy(), score_s=s, entropy_at_enqueue=h)
+def pairs(n, d=2, seed=0):
+    """``n`` unit query rows, each its own positive."""
+    q = l2_normalize_rows(np.random.default_rng(seed).standard_normal((n, d)))
+    return q, q.copy()
+
+
+def push(queue, scores, entropies=None, d=2, seed=0):
+    """Enqueue one pair per score; entropies default to zero."""
+    scores = np.asarray(scores, dtype=np.float64)
+    q, pos = pairs(scores.size, d, seed)
+    h = np.zeros(scores.size) if entropies is None else np.asarray(entropies, dtype=np.float64)
+    return update_queue(queue, q, pos, scores, h)
+
+
+def empty(capacity, d=2):
+    return SourceLikeQueue.empty(capacity, d)
 
 
 class TestQueue:
     def test_initial_fill_sorted(self):
-        q = SourceLikeQueue(capacity=4)
-        q = update_queue(q, [entry(3.0), entry(1.0), entry(2.0)])
-        assert [e.score_s for e in q.entries] == [1.0, 2.0, 3.0]
+        q = push(empty(4), [3.0, 1.0, 2.0])
+        assert q.scores.tolist() == [1.0, 2.0, 3.0]
 
     def test_rejects_larger_scores_when_full(self):
-        q = SourceLikeQueue(capacity=2)
-        q = update_queue(q, [entry(1.0), entry(2.0)])
-        before = q.entries
-        q = update_queue(q, [entry(9.0), entry(5.0)])
-        assert q.entries == before
+        q = push(empty(2), [1.0, 2.0])
+        after = push(q, [9.0, 5.0], seed=1)
+        for field in ("query_embs", "positive_embs", "scores", "entropies"):
+            assert np.array_equal(getattr(after, field), getattr(q, field))
 
     def test_keeps_provably_cleaner_pairs(self):
         # Clean pairs: query equals its positive (pair distance 0). Corrupt
@@ -224,65 +330,77 @@ class TestQueue:
             qbad = pos + 1.5 * off / np.linalg.norm(off)
             qbad /= np.linalg.norm(qbad)
             corrupt.append((qbad, pos.copy()))
-        all_pairs = clean + corrupt
-        q_center = np.mean([p[0] for p in all_pairs], axis=0)
-        g_center = np.mean([p[1] for p in all_pairs], axis=0)
-        entries = [
-            QueueEntry(q, p, source_likeness(q, p, q_center, g_center), 0.0)
-            for q, p in all_pairs
-        ]
-        clean_scores = [e.score_s for e in entries[:6]]
-        corrupt_scores = [e.score_s for e in entries[6:]]
-        assert max(clean_scores) < min(corrupt_scores)
-        queue = update_queue(SourceLikeQueue(capacity=6), entries)
-        kept = {id(e) for e in queue.entries}
-        assert kept == {id(e) for e in entries[:6]}
+        qs = np.array([p[0] for p in clean + corrupt])
+        ps = np.array([p[1] for p in clean + corrupt])
+        scores = source_likeness(qs, ps, qs.mean(axis=0), ps.mean(axis=0))
+        for i in range(12):
+            assert scores[i] == source_likeness(qs[i], ps[i], qs.mean(axis=0), ps.mean(axis=0))
+        assert max(scores[:6]) < min(scores[6:])
+        queue = update_queue(SourceLikeQueue.empty(6, d), qs, ps, scores, np.zeros(12))
+        kept = {row.tobytes() for row in queue.query_embs}
+        assert kept == {row.tobytes() for row in qs[:6]}
 
     def test_max_score_never_increases_once_full(self):
         rng = np.random.default_rng(4)
-        queue = SourceLikeQueue(capacity=8)
-        queue = update_queue(queue, [entry(float(s)) for s in rng.normal(size=8)])
-        prev_max = queue.entries[-1].score_s
+        queue = push(empty(8), rng.normal(size=8))
+        prev_max = queue.scores[-1]
         for step in range(10):
-            queue = update_queue(queue, [entry(float(s)) for s in rng.normal(size=8)])
-            new_max = queue.entries[-1].score_s
+            queue = push(queue, rng.normal(size=8), seed=step + 1)
+            new_max = queue.scores[-1]
             assert new_max <= prev_max + 1e-12
             prev_max = new_max
 
     def test_tie_break_earlier_insertion_wins(self):
-        q = SourceLikeQueue(capacity=1)
-        first = entry(1.0, h=0.1)
-        second = entry(1.0, h=0.9)
-        q = update_queue(q, [first, second])
-        assert q.entries[0].entropy_at_enqueue == 0.1
+        q = push(empty(1), [1.0, 1.0], entropies=[0.1, 0.9])
+        assert q.entropies[0] == 0.1
+
+    def test_tie_break_held_pair_beats_later_batch(self):
+        # Equal scores across batches: the held pair stays, with its frozen
+        # entropy, and the rows travel with their scores.
+        q = push(empty(2), [1.0, 2.0], entropies=[0.1, 0.2])
+        held = q.query_embs[0].copy()
+        q = push(q, [2.0, 1.0, 0.5], entropies=[0.7, 0.8, 0.9], seed=1)
+        assert q.scores.tolist() == [0.5, 1.0]
+        assert q.entropies.tolist() == [0.9, 0.1]
+        assert np.array_equal(q.query_embs[1], held)
+
+    def test_input_arrays_never_mutated(self):
+        q = push(empty(3), [2.0, 1.0])
+        snapshot = [getattr(q, f).copy() for f in ("query_embs", "scores", "entropies")]
+        push(q, [0.5, 0.1], seed=1)
+        for before, f in zip(snapshot, ("query_embs", "scores", "entropies")):
+            assert np.array_equal(getattr(q, f), before)
 
 
 class TestEstimateConstraints:
     def test_identical_pairs_zero_gap(self):
-        q = update_queue(SourceLikeQueue(capacity=3), [entry(1.0), entry(2.0)])
+        q = push(empty(3), [1.0, 2.0])
         est = estimate_constraints(q)
         assert est.gap_source == pytest.approx(0.0, abs=1e-12)
 
     def test_single_orthogonal_pair(self):
-        e = QueueEntry(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.2)
-        q = update_queue(SourceLikeQueue(capacity=2), [e])
+        q = update_queue(
+            empty(2), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [0.5], [0.2]
+        )
         est = estimate_constraints(q)
         assert est.gap_source == pytest.approx(math.sqrt(2), abs=1e-12)
         assert est.entropy_threshold == 0.2
 
     def test_threshold_is_max(self):
-        entries = [entry(1.0, h=0.1), entry(2.0, h=0.5), entry(3.0, h=0.3)]
-        q = update_queue(SourceLikeQueue(capacity=3), entries)
+        q = push(empty(3), [1.0, 2.0, 3.0], entropies=[0.1, 0.5, 0.3])
         assert estimate_constraints(q).entropy_threshold == 0.5
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        entries = [entry(float(s), h=float(abs(s)), seed=i) for i, s in enumerate(rng.normal(size=6))]
-        a = estimate_constraints(update_queue(SourceLikeQueue(capacity=6), entries))
-        b = estimate_constraints(update_queue(SourceLikeQueue(capacity=6), entries[::-1]))
+        scores = rng.normal(size=6)
+        qs, ps = pairs(6, seed=6)
+        ps = l2_normalize_rows(ps + 0.3)
+        h = np.abs(scores)
+        a = estimate_constraints(update_queue(empty(6), qs, ps, scores, h))
+        b = estimate_constraints(update_queue(empty(6), qs[::-1], ps[::-1], scores[::-1], h[::-1]))
         assert a.gap_source == pytest.approx(b.gap_source, abs=1e-12)
         assert a.entropy_threshold == b.entropy_threshold
 
     def test_empty_queue_raises(self):
         with pytest.raises(EmptyQueueError):
-            estimate_constraints(SourceLikeQueue(capacity=4))
+            estimate_constraints(empty(4))
