@@ -13,31 +13,21 @@ from .adapt import (
 )
 from .gallery import CentroidSet, Gallery, NeighborList, build_centroids, knn
 from .losses import (
-    ConsistencyPair,
     ForwardState,
     LossBreakdown,
     ParamGradient,
-    consistency_pair,
     finite_diff_grad,
     forward_state,
     gradient_check,
-    loss_em,
-    loss_gap,
-    loss_rem,
-    loss_rhm,
-    loss_uniformity,
     total_loss_and_grad,
 )
 from .refine import (
     CandidateBatch,
     CandidateSet,
     ConstraintEstimates,
-    RefinedPrediction,
     SourceLikeQueue,
-    build_candidate_set,
     build_candidate_sets,
     estimate_constraints,
-    refined_prediction,
     source_likeness,
     update_queue,
 )

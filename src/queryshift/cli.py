@@ -156,6 +156,9 @@ def _typed(obj: dict, key: str, default, kind: str):
     # Python's bool is an int, but JSON true/false is neither int nor number.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
         raise BadConfigError(f"{key} must be a JSON {kind}, got {value!r}")
+    # Python's json reads Infinity and NaN.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise BadConfigError(f"{key} must be finite, got {value!r}")
     return value
 
 

@@ -26,15 +26,11 @@ class InvalidKError(QueryShiftError):
 
 
 class IndexOutOfRangeError(QueryShiftError):
-    """Query index outside the batch."""
+    """A query batch is not a non-empty 2-D array."""
 
 
 class EmptyQueueError(QueryShiftError):
     """Constraint estimation requires a non-empty queue."""
-
-
-class SizeMismatchError(QueryShiftError):
-    """Paired batches must have the same number of rows."""
 
 
 class NonPositiveThresholdError(QueryShiftError):

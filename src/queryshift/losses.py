@@ -20,13 +20,15 @@ import numpy as np
 from .errors import (
     EmptyBatchError,
     NonPositiveThresholdError,
-    SizeMismatchError,
     SupportMismatchError,
     TooFewCandidatesError,
     ZeroVectorError,
 )
-from .refine import CandidateBatch, ConstraintEstimates
-from .vectors import EPS_NORM, EPS_PROB, clamped_log, softmax_temp
+from .gallery import Gallery, build_centroids
+from .refine import CandidateBatch, ConstraintEstimates, build_candidate_sets
+from .vectors import (
+    EPS_NORM, EPS_PROB, clamped_log, l2_normalize_rows, shannon_entropy, softmax_temp
+)
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,6 @@ class LossBreakdown:
     l_rhm: float
     l_total: float
     active_count: int
-
-
-@dataclass(frozen=True)
-class ConsistencyPair:
-    """Positive and hardest-negative consistencies for one query."""
-
-    c_pos: float
-    c_hardneg: float
-    hardneg_slot: int
 
 
 @dataclass
@@ -167,7 +160,7 @@ def forward_state(
         mask=mask,
         scores=scores,
         probs=probs,
-        entropies=-(probs * clamped_log(probs)).sum(axis=1),
+        entropies=shannon_entropy(probs),
         tau=tau,
     )
 
@@ -186,26 +179,9 @@ def param_grad(state: ForwardState, dz: np.ndarray) -> ParamGradient:
 
 
 # ---------------------------------------------------------------------------
-# Loss values (public contracts)
+# Filter weights and analytic gradients w.r.t. z (chained to parameters via
+# param_grad)
 # ---------------------------------------------------------------------------
-
-def loss_uniformity(z: np.ndarray) -> float:
-    """Mean of exp(-distance to the batch center); 1 means a collapsed batch."""
-    val, _ = _uniformity_grad(np.asarray(z, dtype=np.float64))
-    return val
-
-
-def loss_gap(z_q: np.ndarray, z_pos: np.ndarray, delta_s: float) -> float:
-    """Squared difference between the batch query-positive gap and ``delta_s``."""
-    z_q = np.asarray(z_q, dtype=np.float64)
-    z_pos = np.asarray(z_pos, dtype=np.float64)
-    if z_q.shape[0] != z_pos.shape[0]:
-        raise SizeMismatchError("query and positive batches differ in size")
-    if z_q.shape[0] == 0:
-        raise EmptyBatchError("gap loss needs a non-empty batch")
-    val, _ = _gap_grad(z_q, z_pos.mean(axis=0), delta_s)
-    return val
-
 
 def rem_weights(entropies: np.ndarray, e_b: float) -> np.ndarray:
     """Per-query filter weights max(1 - E/E_B, 0)."""
@@ -213,55 +189,6 @@ def rem_weights(entropies: np.ndarray, e_b: float) -> np.ndarray:
         raise NonPositiveThresholdError(f"entropy threshold must be > 0, got {e_b}")
     return np.maximum(1.0 - np.asarray(entropies, dtype=np.float64) / e_b, 0.0)
 
-
-def loss_rem(preds, e_b: float):
-    """Weighted entropy over the unfiltered queries.
-
-    Returns (loss, weights). Normalized by the count of nonzero weights; a
-    fully filtered batch yields exactly zero.
-    """
-    entropies = np.array([p.entropy for p in preds])
-    w = rem_weights(entropies, e_b)
-    n_act = int(np.count_nonzero(w))
-    if n_act == 0:
-        return 0.0, w
-    return float((w * entropies).sum() / n_act), w
-
-
-def loss_rhm(preds, pairs, e_b: float) -> float:
-    """Weighted positive-vs-hard-negative margin, sharing loss_rem's filtering."""
-    entropies = np.array([p.entropy for p in preds])
-    w = rem_weights(entropies, e_b)
-    n_act = int(np.count_nonzero(w))
-    if n_act == 0:
-        return 0.0
-    h = np.array([np.log(pr.c_hardneg) - np.log(pr.c_pos) for pr in pairs])
-    return float((w * h).sum() / n_act)
-
-
-def consistency_pair(q: np.ndarray, cs) -> ConsistencyPair:
-    """Consistency of the positive and of the most-confusable negative.
-
-    Cosines are mapped to [0, 1] via c = (1 + cos) / 2 and clamped away from
-    zero; the hard negative is the argmax-consistency slot >= 1 (ties go to
-    the lowest slot).
-    """
-    scores = (cs.candidate_embeddings @ np.asarray(q, dtype=np.float64))[None, :]
-    c, slots = consistency_from_scores(scores, np.ones(scores.shape, dtype=bool))
-    slot = int(slots[0])
-    return ConsistencyPair(c_pos=float(c[0, 0]), c_hardneg=float(c[0, slot]), hardneg_slot=slot)
-
-
-def loss_em(preds) -> float:
-    """Plain mean entropy across the batch (entropy-minimization baseline)."""
-    if len(preds) == 0:
-        raise EmptyBatchError("entropy loss needs at least one prediction")
-    return float(np.mean([p.entropy for p in preds]))
-
-
-# ---------------------------------------------------------------------------
-# Analytic gradients w.r.t. z (chained to parameters via param_grad)
-# ---------------------------------------------------------------------------
 
 def _uniformity_grad(z: np.ndarray):
     if z.ndim != 2 or z.shape[0] == 0:
@@ -393,16 +320,22 @@ def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):
     e_b = constraints.entropy_threshold
     w = rem_weights(state.entropies, e_b) if e_b > 0 else np.zeros(state.batch_size)
     n_act = int(np.count_nonzero(w))
-
-    l_u, dz_u = _uniformity_grad(state.z)
-    l_g, dz_g = _gap_grad(state.z, positives_mean(state), constraints.gap_source)
-    l_rem, dz_rem = _rem_grad(state, w, n_act)
     # A fully filtered batch never asks for hard negatives.
-    l_rhm, dz_rhm = _rhm_grad(state, w, n_act, hard_negative_slots(state) if n_act else None)
+    slots = hard_negative_slots(state) if n_act else None
+    values, dz = _robust_terms(state, w, n_act, slots, constraints.gap_source)
+    breakdown = LossBreakdown(*values, l_total=sum(values), active_count=n_act)
+    return breakdown, param_grad(state, dz)
 
-    total = l_u + l_g + l_rem + l_rhm
-    breakdown = LossBreakdown(l_u, l_g, l_rem, l_rhm, l_total=total, active_count=n_act)
-    return breakdown, param_grad(state, dz_u + dz_g + dz_rem + dz_rhm)
+
+def _robust_terms(state: ForwardState, w, n_act: int, slots, delta_s: float):
+    """Uniformity, gap, filtered entropy and hard-mining values, and their summed dz."""
+    terms = [
+        _uniformity_grad(state.z),
+        _gap_grad(state.z, positives_mean(state), delta_s),
+        _rem_grad(state, w, n_act),
+        _rhm_grad(state, w, n_act, slots),
+    ]
+    return [val for val, _ in terms], sum(dz for _, dz in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +368,6 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float):
     """Seeded random instance: gallery, candidates, a generic adapter point."""
-    from .gallery import Gallery, build_centroids
-    from .refine import build_candidate_sets
-    from .vectors import l2_normalize_rows
-
     rng = np.random.default_rng(seed)
     gallery = Gallery(l2_normalize_rows(rng.standard_normal((n, dim))))
     k_eff = min(k, max(1, n - 1))
@@ -477,8 +406,7 @@ def gradient_check(
     seeded instances. ``perturb`` deliberately offsets the analytic gradients
     (negative-control hook used by the tests).
     """
-    targets = ("uniformity", "gap", "rem", "rhm", "em", "kl", "total")
-    worst = {t: 0.0 for t in targets}
+    worst = dict.fromkeys(("uniformity", "gap", "rem", "rhm", "em", "kl", "total"), 0.0)
 
     for dim in dims:
         for inst in range(instances):
@@ -488,57 +416,32 @@ def gradient_check(
             w = rem_weights(state.entropies, e_b)
             n_act = int(np.count_nonzero(w))
             slots = hard_negative_slots(state)
-            pos_mean = positives_mean(state)
-            src_probs = src_state.probs
 
-            def restate(theta):
-                return forward_state(theta[:dim], theta[dim:], raw, cands, tau)
+            def total(st):
+                values, dz = _robust_terms(st, w, n_act, slots, delta_s)
+                return sum(values), dz
 
-            def make_value(term):
-                def value(theta):
-                    st = restate(theta)
-                    if term == "uniformity":
-                        return _uniformity_grad(st.z)[0]
-                    if term == "gap":
-                        return _gap_grad(st.z, pos_mean, delta_s)[0]
-                    if term == "rem":
-                        return _rem_grad(st, w, n_act)[0]
-                    if term == "rhm":
-                        return _rhm_grad(st, w, n_act, slots)[0]
-                    if term == "em":
-                        return _em_grad(st)[0]
-                    if term == "kl":
-                        return _kl_grad(st, src_probs)[0]
-                    total = (
-                        _uniformity_grad(st.z)[0]
-                        + _gap_grad(st.z, pos_mean, delta_s)[0]
-                        + _rem_grad(st, w, n_act)[0]
-                        + _rhm_grad(st, w, n_act, slots)[0]
-                    )
-                    return total
-
-                return value
-
-            analytic = {
-                "uniformity": _uniformity_grad(state.z)[1],
-                "gap": _gap_grad(state.z, pos_mean, delta_s)[1],
-                "rem": _rem_grad(state, w, n_act)[1],
-                "rhm": _rhm_grad(state, w, n_act, slots)[1],
-                "em": _em_grad(state)[1],
-                "kl": _kl_grad(state, src_probs)[1],
+            terms = {
+                "uniformity": lambda st: _uniformity_grad(st.z),
+                "gap": lambda st: _gap_grad(st.z, positives_mean(st), delta_s),
+                "rem": lambda st: _rem_grad(st, w, n_act),
+                "rhm": lambda st: _rhm_grad(st, w, n_act, slots),
+                "em": _em_grad,
+                "kl": lambda st: _kl_grad(st, src_state.probs),
+                "total": total,
             }
-            analytic["total"] = (
-                analytic["uniformity"] + analytic["gap"] + analytic["rem"] + analytic["rhm"]
-            )
 
             theta0 = np.concatenate([state.gamma, state.beta])
-            for term in targets:
-                ga = param_grad(state, analytic[term]).flat()
+            for term, fn in terms.items():
+                ga = param_grad(state, fn(state)[1]).flat()
                 if perturb:
                     ga = ga + perturb
-                gn = finite_diff_grad(make_value(term), theta0, h)
-                err = _relative_error(ga, gn)
-                worst[term] = max(worst[term], err)
+
+                def value(theta, fn=fn):
+                    return fn(forward_state(theta[:dim], theta[dim:], raw, cands, tau))[0]
+
+                gn = finite_diff_grad(value, theta0, h)
+                worst[term] = max(worst[term], _relative_error(ga, gn))
 
     max_err = max(worst.values())
     return {

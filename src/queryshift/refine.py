@@ -22,7 +22,6 @@ from .errors import (
     InvalidKError,
 )
 from .gallery import CentroidSet, Gallery, knn_table
-from .vectors import shannon_entropy, softmax_temp
 
 # Centroids numerically equal to the positive are dropped from the negatives.
 _CENTROID_COLLISION_TOL = 1e-9
@@ -68,15 +67,6 @@ class CandidateBatch(Sequence):
         m = int(np.count_nonzero(self.mask[i]))
         negatives = tuple(self.ids[i, 1:m].tolist())
         return CandidateSet(i, int(self.ids[i, 0]), negatives, self.embs[i, :m])
-
-
-@dataclass(frozen=True)
-class RefinedPrediction:
-    """Softmax distribution over a candidate set."""
-
-    probs: np.ndarray
-    entropy: float
-    positive_prob: float
 
 
 @dataclass(frozen=True)
@@ -160,28 +150,6 @@ def build_candidate_sets(
     embs[at_centroid] = cents[-1 - ids[at_centroid]]
     embs[~mask] = 0.0
     return CandidateBatch(ids=ids, mask=mask, embs=embs)
-
-
-def build_candidate_set(
-    batch_z: np.ndarray, gallery: Gallery, centroids: CentroidSet, k: int, i: int
-) -> CandidateSet:
-    """Candidate set for query ``i`` of the batch."""
-    batch_z = np.asarray(batch_z, dtype=np.float64)
-    if batch_z.ndim != 2 or not 0 <= i < batch_z.shape[0]:
-        raise IndexOutOfRangeError(f"query index {i} outside batch")
-    return build_candidate_sets(batch_z, gallery, centroids, k)[i]
-
-
-def refined_prediction(q: np.ndarray, cs: CandidateSet, tau: float) -> RefinedPrediction:
-    """Tempered softmax over the candidate set's cosine scores."""
-    q = np.asarray(q, dtype=np.float64)
-    scores = cs.candidate_embeddings @ q
-    probs = softmax_temp(scores, tau)
-    return RefinedPrediction(
-        probs=probs,
-        entropy=shannon_entropy(probs),
-        positive_prob=float(probs[0]),
-    )
 
 
 def source_likeness(

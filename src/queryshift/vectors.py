@@ -40,7 +40,7 @@ def clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, EPS_PROB))
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """Natural-log entropy; zero-probability terms contribute zero."""
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """Natural-log entropy over the last axis; zero-probability terms contribute zero."""
     p = np.asarray(p, dtype=np.float64)
-    return float(-(p * clamped_log(p)).sum())
+    return -(p * clamped_log(p)).sum(axis=-1)

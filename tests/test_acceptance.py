@@ -25,7 +25,6 @@ from queryshift.refine import (
     CandidateSet,
     ConstraintEstimates,
     build_candidate_sets,
-    refined_prediction,
 )
 from queryshift.vectors import l2_normalize_rows, softmax_temp
 
@@ -187,9 +186,10 @@ def test_criterion_8_refinement_masks_full_prediction():
         order = np.argsort(-(gallery.items[ids] @ q), kind="stable")
         ids = [int(ids[j]) for j in order]
         cs = CandidateSet(0, ids[0], tuple(ids[1:]), gallery.items[ids])
-        pred = refined_prediction(q, cs, tau)
+        state = forward_state(np.ones(d), np.zeros(d), q[None], [cs.candidate_embeddings], tau)
+        probs = state.probs[0]
         masked = full[ids] / full[ids].sum()
-        worst = max(worst, float(np.abs(pred.probs - masked).max()))
+        worst = max(worst, float(np.abs(probs - masked).max()))
     assert worst < 1e-9
     _report(8, f"refined prediction equals masked+renormalized full softmax, worst dev {worst:.1e}")
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import struct
 import tracemalloc
 
@@ -422,6 +423,10 @@ class TestMainEntry:
             {"method": "none", "paths": 5},
             {"method": "none", "paths": {"gallery": 5, "queries": None, "ground_truth": "t"}},
             {"method": "none", "paths": {"gallery": "g", "queries": "q", "ground_truth": ["t"]}},
+            config_dict(lr=math.inf),
+            config_dict(tau=math.inf),
+            synth_config_dict(sigma_query=math.nan),
+            corruption_config_dict(delta=math.inf),
         ):
             cfg_path.write_text(json.dumps(bad), encoding="utf-8")
             assert main(["--config", str(cfg_path), "adapt"]) == 2

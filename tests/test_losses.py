@@ -6,13 +6,11 @@ import pytest
 from queryshift.errors import (
     EmptyBatchError,
     NonPositiveThresholdError,
-    SizeMismatchError,
     SupportMismatchError,
     TooFewCandidatesError,
 )
 from queryshift.gallery import Gallery, build_centroids
 from queryshift.losses import (
-    ConsistencyPair,
     _em_grad,
     _gap_grad,
     _gradcheck_instance,
@@ -22,34 +20,17 @@ from queryshift.losses import (
     _rhm_grad,
     _uniformity_grad,
     consistency_from_scores,
-    consistency_pair,
     finite_diff_grad,
     forward_state,
     gradient_check,
     hard_negative_slots,
-    loss_em,
-    loss_gap,
-    loss_rem,
-    loss_rhm,
-    loss_uniformity,
     param_grad,
     positives_mean,
     rem_weights,
     total_loss_and_grad,
 )
-from queryshift.refine import (
-    CandidateSet,
-    ConstraintEstimates,
-    RefinedPrediction,
-    build_candidate_sets,
-)
+from queryshift.refine import ConstraintEstimates, build_candidate_sets
 from queryshift.vectors import EPS_PROB, l2_normalize_rows
-
-
-def make_pred(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    h = float(-(probs[probs > 0] * np.log(probs[probs > 0])).sum())
-    return RefinedPrediction(probs=probs, entropy=h, positive_prob=float(probs[0]))
 
 
 def make_instance(seed=0, b=6, d=8, n=40, k=3, tau=0.5):
@@ -68,14 +49,36 @@ def make_instance(seed=0, b=6, d=8, n=40, k=3, tau=0.5):
     return state, raw, cand_embs, gallery
 
 
+def hand_state(cosines, tau):
+    """Identity-adapter state of one query per list of candidate cosines.
+
+    Every query is e_0 in 2-D and its candidate j is the unit vector at
+    cosine ``cosines[i][j]`` to it, so the scores are those cosines exactly.
+    Lists may differ in length.
+    """
+    cands = [np.stack([c, np.sqrt(1.0 - c**2)], axis=1) for c in map(np.asarray, cosines)]
+    raw = np.tile([1.0, 0.0], (len(cands), 1))
+    return forward_state(np.ones(2), np.zeros(2), raw, cands, tau)
+
+
+def weighted(state, e_b):
+    """Filter weights and active count as the session takes them."""
+    w = rem_weights(state.entropies, e_b)
+    return w, int(np.count_nonzero(w))
+
+
+# A two-candidate list at tau 0.5 whose prediction is [0.9, 0.1].
+NINE_TO_ONE = [1.0, 1.0 - 0.5 * math.log(9.0)]
+
+
 class TestLossUniformity:
     def test_collapsed_batch_is_one(self):
         z = np.tile(np.array([1.0, 0.0]), (4, 1))
-        assert loss_uniformity(z) == pytest.approx(1.0)
+        assert _uniformity_grad(z)[0] == pytest.approx(1.0)
 
     def test_antipodal_pair(self):
         z = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert loss_uniformity(z) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert _uniformity_grad(z)[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_decreases_after_spreading(self):
         from queryshift.synth import scale_queries
@@ -83,34 +86,38 @@ class TestLossUniformity:
         rng = np.random.default_rng(2)
         z = l2_normalize_rows(rng.standard_normal((8, 6)) + 3.0)
         spread = scale_queries(z, 1.5)
-        assert loss_uniformity(spread) < loss_uniformity(z)
+        assert _uniformity_grad(spread)[0] < _uniformity_grad(z)[0]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyBatchError):
-            loss_uniformity(np.empty((0, 3)))
+            _uniformity_grad(np.empty((0, 3)))
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             z = l2_normalize_rows(rng.standard_normal((5, 4)))
-            assert 0.0 < loss_uniformity(z) <= 1.0
+            assert 0.0 < _uniformity_grad(z)[0] <= 1.0
+
+
+def positives_state(z_q, z_pos):
+    """State of queries ``z_q`` whose one-slot candidate lists are ``z_pos``."""
+    d = z_q.shape[1]
+    return forward_state(np.ones(d), np.zeros(d), z_q, list(z_pos[:, None]), 0.5)
 
 
 class TestLossGap:
     def test_rectified_gap_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        delta_t = 0.0
-        assert loss_gap(z, z, delta_t) == pytest.approx(0.0)
+        state = positives_state(z, z)
+        assert _gap_grad(state.z, positives_mean(state), 0.0)[0] == pytest.approx(0.0)
 
     def test_arithmetic(self):
-        # Construct batches whose means are 0.5 apart, with delta_s = 0.2.
-        z_q = np.array([[1.0, 0.0], [0.0, 0.0]])
-        z_pos = np.array([[0.0, 0.0], [0.0, 0.0]])
-        assert loss_gap(z_q, z_pos, 0.2) == pytest.approx((0.5 - 0.2) ** 2)
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            loss_gap(np.ones((2, 2)), np.ones((3, 2)), 0.1)
+        # Query and positive means are 0.5 apart, with delta_s = 0.2.
+        z_q = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        z_pos = np.array([[0.5, math.sqrt(0.75)], [0.5, -math.sqrt(0.75)]])
+        state = positives_state(z_q, z_pos)
+        val, _ = _gap_grad(state.z, positives_mean(state), 0.2)
+        assert val == pytest.approx((0.5 - 0.2) ** 2)
 
     def test_descent_drives_gap_to_target(self):
         # Gradient-descent trace on the gap term alone: |gap - target| must
@@ -133,112 +140,117 @@ class TestLossGap:
 
 class TestLossRem:
     def test_single_term_arithmetic(self):
-        # Handmade prediction pins the entropy to the example value.
-        pred = RefinedPrediction(probs=np.array([0.9, 0.1]), entropy=0.2, positive_prob=0.9)
-        loss, w = loss_rem([pred], 0.8)
+        state = hand_state([NINE_TO_ONE], 0.5)
+        np.testing.assert_allclose(state.probs[0], [0.9, 0.1], rtol=1e-12)
+        entropy = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
+        assert state.entropies[0] == pytest.approx(entropy, rel=1e-12)
+        w, n_act = weighted(state, 4.0 * entropy)
+        loss, _ = _rem_grad(state, w, n_act)
         assert w[0] == pytest.approx(0.75)
-        assert loss == pytest.approx(0.15)
+        assert loss == pytest.approx(0.75 * entropy)
 
     def test_fully_filtered_batch_is_zero(self):
-        preds = [
-            RefinedPrediction(probs=np.array([0.5, 0.5]), entropy=0.9, positive_prob=0.5)
-            for _ in range(3)
-        ]
-        loss, w = loss_rem(preds, 0.8)
+        # Three equal candidates: entropy ln 3 > 0.8 in every row.
+        state = hand_state([[0.3, 0.3, 0.3]] * 3, 0.5)
+        w, n_act = weighted(state, 0.8)
+        loss, dz = _rem_grad(state, w, n_act)
         assert loss == 0.0
         assert np.all(w == 0.0)
+        assert np.all(dz == 0.0)
 
     def test_partial_filtering(self):
-        preds = [
-            RefinedPrediction(probs=np.array([1.0]), entropy=0.2, positive_prob=1.0),
-            RefinedPrediction(probs=np.array([1.0]), entropy=0.9, positive_prob=1.0),
-        ]
-        loss, w = loss_rem(preds, 0.8)
-        assert loss == pytest.approx(0.75 * 0.2 / 1)
+        state = hand_state([NINE_TO_ONE, [0.3, 0.3, 0.3]], 0.5)
+        e_b = 1.0
+        w, n_act = weighted(state, e_b)
+        loss, _ = _rem_grad(state, w, n_act)
+        entropy = state.entropies[0]
+        assert n_act == 1 and w[1] == 0.0
+        assert loss == pytest.approx((1.0 - entropy / e_b) * entropy / 1)
 
     def test_non_positive_threshold(self):
         with pytest.raises(NonPositiveThresholdError):
-            loss_rem([make_pred([1.0])], 0.0)
+            rem_weights(hand_state([[1.0]], 0.5).entropies, 0.0)
 
     def test_bounds_and_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        preds = [make_pred(rng.dirichlet(np.ones(5))) for _ in range(8)]
-        e_b = 1.1 * float(np.median([p.entropy for p in preds]))
-        loss, w = loss_rem(preds, e_b)
-        assert 0.0 <= loss <= max(p.entropy for p in preds)
+        cosines = rng.uniform(-1.0, 1.0, size=(8, 5))
+        state = hand_state(cosines, 0.3)
+        e_b = 1.1 * float(np.median(state.entropies))
+        w, n_act = weighted(state, e_b)
+        loss, _ = _rem_grad(state, w, n_act)
+        assert 0.0 <= loss <= state.entropies.max()
         assert np.all((w >= 0.0) & (w < 1.0))
-        loss_rev, _ = loss_rem(preds[::-1], e_b)
+        rev = hand_state(cosines[::-1], 0.3)
+        loss_rev, _ = _rem_grad(rev, *weighted(rev, e_b))
         assert loss == pytest.approx(loss_rev, abs=1e-12)
 
 
+def rhm_value(cosines, tau, e_b=None):
+    """Hard-mining loss of a hand-made batch; weight 1 per row when ``e_b`` is None."""
+    state = hand_state(cosines, tau)
+    if e_b is None:
+        w, n_act = np.ones(state.batch_size), state.batch_size
+    else:
+        w, n_act = weighted(state, e_b)
+    return _rhm_grad(state, w, n_act, hard_negative_slots(state))[0]
+
+
 class TestLossRhm:
+    # A consistency c is the cosine 2c - 1.
     def test_equal_consistencies_zero(self):
-        pred = RefinedPrediction(probs=np.array([1.0]), entropy=0.1, positive_prob=1.0)
-        pair = ConsistencyPair(c_pos=0.6, c_hardneg=0.6, hardneg_slot=1)
-        assert loss_rhm([pred], [pair], 0.8) == pytest.approx(0.0)
+        assert rhm_value([[0.2, 0.2]], 0.5, e_b=0.8) == pytest.approx(0.0)
 
     def test_hand_value(self):
-        pred = RefinedPrediction(probs=np.array([1.0]), entropy=0.0, positive_prob=1.0)
-        pair = ConsistencyPair(c_pos=0.8, c_hardneg=0.4, hardneg_slot=1)
-        # Weight is exactly 1 at zero entropy; H = ln(0.4) - ln(0.8) = ln(1/2).
-        assert loss_rhm([pred], [pair], 0.8) == pytest.approx(math.log(0.5), abs=1e-12)
+        # c_pos 0.8, c_hardneg 0.4: H = ln(0.4) - ln(0.8) = ln(1/2).
+        state = hand_state([[0.6, -0.2]], 0.01)
+        w, n_act = weighted(state, 0.8)
+        # The tail probability is ~exp(-80): the weight rounds to exactly 1.
+        assert w[0] == 1.0
+        val, _ = _rhm_grad(state, w, n_act, hard_negative_slots(state))
+        assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_swapped_pair_flips_sign(self):
-        pred = RefinedPrediction(probs=np.array([1.0]), entropy=0.0, positive_prob=1.0)
-        pair = ConsistencyPair(c_pos=0.4, c_hardneg=0.8, hardneg_slot=1)
-        assert loss_rhm([pred], [pair], 0.8) == pytest.approx(-math.log(0.5), abs=1e-12)
+        assert rhm_value([[-0.2, 0.6]], 0.01) == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
-        preds, pairs = [], []
-        for _ in range(6):
-            preds.append(make_pred(rng.dirichlet(np.ones(4))))
-            c = rng.uniform(0.1, 1.0, size=2)
-            pairs.append(ConsistencyPair(float(c[0]), float(c[1]), 1))
-        e_b = 1.1 * float(np.median([p.entropy for p in preds]))
-        a = loss_rhm(preds, pairs, e_b)
-        b = loss_rhm(preds[::-1], pairs[::-1], e_b)
+        cosines = rng.uniform(-0.8, 1.0, size=(6, 4))
+        e_b = 1.1 * float(np.median(hand_state(cosines, 0.5).entropies))
+        a = rhm_value(cosines, 0.5, e_b)
+        b = rhm_value(cosines[::-1], 0.5, e_b)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestConsistencyPair:
     def test_exact_positive(self):
-        q = np.array([1.0, 0.0])
-        cs = CandidateSet(0, 0, (1,), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        pair = consistency_pair(q, cs)
-        assert pair.c_pos == pytest.approx(1.0)
+        state = hand_state([[1.0, 0.0]], 0.5)
+        c, _ = consistency_from_scores(state.scores, state.mask)
+        assert c[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal_negative_is_half(self):
-        q = np.array([1.0, 0.0])
-        cs = CandidateSet(0, 0, (1,), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert consistency_pair(q, cs).c_hardneg == pytest.approx(0.5)
+        state = hand_state([[1.0, 0.0]], 0.5)
+        c, slots = consistency_from_scores(state.scores, state.mask)
+        assert c[0, slots[0]] == pytest.approx(0.5)
 
     def test_argmax_slot(self):
-        q = np.array([1.0, 0.0, 0.0])
-        cands = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.2, math.sqrt(1 - 0.04), 0.0],
-                [0.9, math.sqrt(1 - 0.81), 0.0],
-                [0.4, math.sqrt(1 - 0.16), 0.0],
-            ]
-        )
-        pair = consistency_pair(q, CandidateSet(0, 0, (1, 2, 3), cands))
-        assert pair.hardneg_slot == 2
+        state = hand_state([[1.0, 0.2, 0.9, 0.4]], 0.5)
+        assert hard_negative_slots(state).tolist() == [2]
 
     def test_too_few_candidates(self):
         with pytest.raises(TooFewCandidatesError):
-            consistency_pair(np.array([1.0, 0.0]), CandidateSet(0, 0, (), np.array([[1.0, 0.0]])))
+            hard_negative_slots(hand_state([[1.0]], 0.5))
 
 
 class TestLossEm:
     def test_one_hot_zero(self):
-        preds = [make_pred([1.0, 0.0, 0.0])]
-        assert loss_em(preds) == 0.0
+        # A margin of 2 at tau 0.002 underflows the negatives to exactly 0.
+        state = hand_state([[1.0, -1.0, -1.0]], 0.002)
+        assert state.probs[0].tolist() == [1.0, 0.0, 0.0]
+        assert _em_grad(state)[0] == 0.0
 
     def test_uniform(self):
-        preds = [make_pred([0.25] * 4)]
-        assert loss_em(preds) == pytest.approx(math.log(4), abs=1e-12)
+        state = hand_state([[0.1] * 4], 0.5)
+        assert _em_grad(state)[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_entropy_derivative_favors_easy_negatives(self):
         # d/dp of the entropy summand is -(ln p + 1); compare magnitudes.

@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from queryshift.errors import (
-    DimMismatchError,
-    EmptyQueueError,
-    IndexOutOfRangeError,
-)
+from queryshift.errors import DimMismatchError, EmptyQueueError
 from queryshift.gallery import CentroidSet, Gallery, build_centroids, knn_table
+from queryshift.losses import forward_state
 from queryshift.refine import (
     _CENTROID_COLLISION_TOL,
+    CandidateSet,
     SourceLikeQueue,
-    build_candidate_set,
     build_candidate_sets,
     estimate_constraints,
-    refined_prediction,
     source_likeness,
     update_queue,
 )
@@ -153,7 +149,7 @@ class TestBuildCandidateSet:
         g = random_gallery(16, 4, 0)
         cents = build_centroids(g, 2, seed=0)
         q = random_queries(1, 4, 1)
-        cs = build_candidate_set(q, g, cents, 2, 0)
+        cs = build_candidate_sets(q, g, cents, 2)[0]
         # Positive plus the two centroids only.
         assert len(cs) == 3
         assert all(ref < 0 for ref in cs.negative_ids)
@@ -162,7 +158,7 @@ class TestBuildCandidateSet:
         g = Gallery(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
         cents = build_centroids(g, 1, seed=0)
         batch = l2_normalize_rows(np.array([[1.0, 0.05], [1.0, -0.05]]))
-        cs = build_candidate_set(batch, g, cents, 1, 0)
+        cs = build_candidate_sets(batch, g, cents, 1)[0]
         # Both queries share 1-NN id 0; it appears once, as the positive.
         gallery_refs = [r for r in cs.negative_ids if r >= 0]
         assert cs.positive_id == 0
@@ -172,8 +168,7 @@ class TestBuildCandidateSet:
         g = random_gallery(256, 8, 2)
         cents = build_centroids(g, 10, seed=3)
         batch = random_queries(4, 8, 4)
-        for i in range(4):
-            cs = build_candidate_set(batch, g, cents, 10, i)
+        for i, cs in enumerate(build_candidate_sets(batch, g, cents, 10)):
             pos, negs = oracle_candidate_ids(batch, g, 10, i)
             assert cs.positive_id == pos
             assert [r for r in cs.negative_ids if r >= 0] == negs
@@ -187,12 +182,11 @@ class TestBuildCandidateSet:
             refs = [cs.positive_id] + [r for r in cs.negative_ids if r >= 0]
             assert len(refs) == len(set(refs))
 
-    def test_index_out_of_range(self):
-        g = random_gallery(8, 3, 8)
-        cents = build_centroids(g, 2, seed=0)
-        batch = random_queries(2, 3, 9)
-        with pytest.raises(IndexOutOfRangeError):
-            build_candidate_set(batch, g, cents, 2, 2)
+
+def refined(q, cs, tau):
+    """Identity-adapter forward pass of one query over one candidate set."""
+    d = q.shape[0]
+    return forward_state(np.ones(d), np.zeros(d), q[None], [cs.candidate_embeddings], tau)
 
 
 class TestRefinedPrediction:
@@ -200,58 +194,48 @@ class TestRefinedPrediction:
         g = random_gallery(8, 4, 10)
         row = g.items[0]
         cs_embs = np.tile(row, (5, 1))
-        from queryshift.refine import CandidateSet
-
         cs = CandidateSet(0, 0, (1, 2, 3, 4), cs_embs)
-        pred = refined_prediction(row, cs, 0.5)
-        np.testing.assert_allclose(pred.probs, np.full(5, 0.2), atol=1e-12)
-        assert pred.entropy == pytest.approx(math.log(5), abs=1e-9)
+        pred = refined(row, cs, 0.5)
+        np.testing.assert_allclose(pred.probs[0], np.full(5, 0.2), atol=1e-12)
+        assert pred.entropies[0] == pytest.approx(math.log(5), abs=1e-9)
 
     def test_exact_positive_low_temperature(self):
-        from queryshift.refine import CandidateSet
-
         q = np.zeros(4)
         q[0] = 1.0
         negs = np.eye(4)[1:]
         cs = CandidateSet(0, 0, (1, 2, 3), np.vstack([q, negs]))
-        pred = refined_prediction(q, cs, 0.02)
+        pred = refined(q, cs, 0.02)
         # Margin of 1.0 at tau=0.02: the tail is ~3*exp(-50).
-        assert pred.positive_prob == pytest.approx(1.0, abs=1e-12)
-        assert pred.entropy < 1e-18
+        assert pred.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert pred.entropies[0] < 1e-18
 
     def test_unit_temperature_closed_form(self):
-        from queryshift.refine import CandidateSet
-
         q = np.array([1.0, 0.0])
         cands = np.array([[1.0, 0.0], [0.0, 1.0]])
         cs = CandidateSet(0, 0, (1,), cands)
-        pred = refined_prediction(q, cs, 1.0)
+        pred = refined(q, cs, 1.0)
         expected = math.exp(1.0) / (math.exp(1.0) + 1.0)
-        assert pred.positive_prob == pytest.approx(expected, rel=1e-12)
+        assert pred.probs[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_full_gallery_equals_plain_prediction(self):
         # Refinement over the entire gallery is exactly the unrefined softmax.
-        from queryshift.refine import CandidateSet
-
         g = random_gallery(32, 6, 11)
         q = random_queries(1, 6, 12)[0]
         order = np.argsort(-(g.items @ q), kind="stable")
         cs = CandidateSet(0, int(order[0]), tuple(int(x) for x in order[1:]), g.items[order])
-        pred = refined_prediction(q, cs, 0.1)
+        pred = refined(q, cs, 0.1)
         full = softmax_temp(g.items @ q, 0.1)
-        np.testing.assert_allclose(pred.probs, full[order], atol=1e-12)
+        np.testing.assert_allclose(pred.probs[0], full[order], atol=1e-12)
 
     def test_subset_is_masked_renormalized(self):
-        from queryshift.refine import CandidateSet
-
         g = random_gallery(48, 5, 13)
         q = random_queries(1, 5, 14)[0]
         full = softmax_temp(g.items @ q, 0.2)
         ids = [3, 0, 17, 40, 9]
         cs = CandidateSet(0, 3, tuple(ids[1:]), g.items[ids])
-        pred = refined_prediction(q, cs, 0.2)
+        pred = refined(q, cs, 0.2)
         masked = full[ids] / full[ids].sum()
-        np.testing.assert_allclose(pred.probs, masked, atol=1e-9)
+        np.testing.assert_allclose(pred.probs[0], masked, atol=1e-9)
 
 
 class TestSourceLikeness:

@@ -82,6 +82,8 @@ class TestShannonEntropy:
 
     def test_uniform_four(self):
         assert shannon_entropy([0.25] * 4) == pytest.approx(math.log(4.0), abs=1e-12)
+        rows = shannon_entropy([[0.25] * 4, [1.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(rows, [math.log(4.0), 0.0], atol=1e-12)
 
     def test_uniform_is_maximal_one_hot_minimal(self):
         rng = np.random.default_rng(1)
