@@ -10,12 +10,14 @@ opposes what the source model already knows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     InvalidKError,
     InvalidSpecError,
     LengthMismatchError,
@@ -183,13 +185,19 @@ def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
 
 
 def sgd_step(params: AdapterParams, grad: np.ndarray, lr: float) -> AdapterParams:
-    """One plain gradient step on the flattened [gamma..., beta...] vector."""
+    """One plain gradient step on the flattened [gamma..., beta...] vector.
+
+    Raises DivergenceError if the stepped parameters are not all finite.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.size != 2 * params.dim:
         raise LengthMismatchError(
             f"gradient length {grad.size} does not match 2*dim={2 * params.dim}"
         )
-    return AdapterParams.from_flat(params.flat() - lr * grad)
+    theta = params.flat() - lr * grad
+    if not np.all(np.isfinite(theta)):
+        raise DivergenceError("adapter parameters are no longer finite")
+    return AdapterParams.from_flat(theta)
 
 
 def _angle_degrees(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -205,7 +213,9 @@ class AdaptationSession:
     """Owner of the adapter state for one ordered query stream.
 
     Batches must be fed sequentially; any error raised mid-batch leaves the
-    parameters (and queue) exactly as they were before the call.
+    parameters (and queue) exactly as they were before the call. The gallery
+    centroids are built by the first batch that builds candidates, so a
+    ``none`` run never runs k-means; ``centroids`` passed in are used as given.
     """
 
     def __init__(
@@ -220,15 +230,17 @@ class AdaptationSession:
             )
         self.gallery = gallery
         self.config = config
-        self.centroids = (
-            centroids
-            if centroids is not None
-            else build_centroids(gallery, config.k, config.seed)
-        )
+        if centroids is not None:
+            self.centroids = centroids
         self.params = AdapterParams.identity(gallery.dim)
         self.source_params = AdapterParams.identity(gallery.dim)
         self.queue = SourceLikeQueue.empty(config.batch_size, gallery.dim)
         self.step = 0
+
+    @functools.cached_property
+    def centroids(self) -> CentroidSet:
+        """k-means centroids of the gallery, the cluster negatives of every batch."""
+        return build_centroids(self.gallery, self.config.k, self.config.seed)
 
     # -- public pipeline ----------------------------------------------------
 

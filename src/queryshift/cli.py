@@ -6,13 +6,14 @@ row-major order. Ground truth is UTF-8 text with one ``query<TAB>gallery``
 pair per line. Configs and reports are JSON; storage is float32 while all
 in-memory math runs in float64.
 
-Exit codes: 0 success, 2 bad config, 3 bad input file, 4 gradient-check
-failure.
+Exit codes: 0 success, 2 bad config, 3 bad input file or a failed run (such
+as a diverging adapter), 4 gradient-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -415,8 +416,11 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         for key, value in row.items():
             series.setdefault(key, []).append(value)
 
-    zf = forward_adapter(session.params, stream)
-    final = _stream_metrics(zf, gallery, truth)
+    if cfg.method == "none":
+        # The parameters never leave identity, so the stream scores as it did.
+        final = copy.deepcopy(initial)
+    else:
+        final = _stream_metrics(forward_adapter(session.params, stream), gallery, truth)
 
     report = {
         "schema": 1,

@@ -9,6 +9,10 @@ class ZeroVectorError(QueryShiftError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
+class DivergenceError(QueryShiftError):
+    """Adapter parameters or adapted rows are no longer finite (CLI exit code 3)."""
+
+
 class DimMismatchError(QueryShiftError):
     """Operands have incompatible dimensions."""
 

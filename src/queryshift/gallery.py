@@ -139,15 +139,16 @@ def _topk(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(ids, order, axis=1)
 
 
-def _min_sq_dist(items: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row squared distance to the nearest centroid and its index."""
+def _min_sq_dist(
+    items: np.ndarray, sq_items: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row squared distance to the nearest centroid and its index.
+
+    ``sq_items`` holds the rows' squared norms, computed once by the caller.
+    """
     # All rows are unit norm but centroids may transiently not be;
     # use the exact expansion instead of 2 - 2*sim.
-    sq = (
-        np.sum(items**2, axis=1)[:, None]
-        - 2.0 * items @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
+    sq = sq_items[:, None] - 2.0 * items @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
     assign = np.argmin(sq, axis=1)
     return sq[np.arange(items.shape[0]), assign], assign
 
@@ -176,20 +177,21 @@ def build_centroids(gallery: Gallery, k: int, seed: int) -> CentroidSet:
     their cosine scores stay commensurate with gallery rows; on the sphere
     the normalized cluster mean is the constrained optimum, so the energy
     is non-increasing per iteration (checked). An empty cluster is re-seeded
-    with the point farthest from its assigned centroid.
+    with the point farthest from its assigned centroid. Each iteration makes
+    one distance pass: the pass that scores the updated centroids is also
+    the next iteration's assignment.
     """
     if not 1 <= k <= gallery.size:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
     items = gallery.items
+    sq_items = np.sum(items**2, axis=1)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(items, k, rng)
 
-    min_d2, _ = _min_sq_dist(items, centroids)
-    energy = float(min_d2.sum())
-    trace = [energy]
+    min_d2, assign = _min_sq_dist(items, sq_items, centroids)
+    trace = [float(min_d2.sum())]
 
     for _ in range(_KMEANS_MAX_ITER):
-        min_d2, assign = _min_sq_dist(items, centroids)
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=k)
         for c in range(k):
@@ -207,7 +209,7 @@ def build_centroids(gallery: Gallery, k: int, seed: int) -> CentroidSet:
                 new_centroids[c] = items[farthest[slot]]
         centroids = new_centroids
 
-        min_d2, _ = _min_sq_dist(items, centroids)
+        min_d2, assign = _min_sq_dist(items, sq_items, centroids)
         new_energy = float(min_d2.sum())
         if new_energy > trace[-1] + 1e-9:
             raise AssertionError(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     EmptyBatchError,
     NonPositiveThresholdError,
     SupportMismatchError,
@@ -91,13 +92,16 @@ def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
     """Apply the affine head and unit-normalize rows.
 
     Returns (pre_norm, norms, z). Raises ZeroVectorError if any adapted row
-    vanishes.
+    vanishes and DivergenceError if any row norm is not finite (the adapter
+    has blown up, and dividing by the norm would give zero rows).
     """
     raw = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw queries contain non-finite entries")
     pre = gamma[None, :] * raw + beta[None, :]
     norms = np.linalg.norm(pre, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise DivergenceError("adapter output row has a non-finite norm")
     if np.any(norms <= EPS_NORM):
         raise ZeroVectorError("adapter output row has near-zero norm")
     return pre, norms, pre / norms[:, None]

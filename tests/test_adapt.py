@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -14,6 +15,7 @@ from queryshift.adapt import (
     sgd_step,
 )
 from queryshift.errors import (
+    DivergenceError,
     InvalidKError,
     InvalidSpecError,
     LengthMismatchError,
@@ -22,7 +24,7 @@ from queryshift.errors import (
     ZeroVectorError,
 )
 from queryshift import adapt, gallery, losses, refine, vectors
-from queryshift.gallery import Gallery
+from queryshift.gallery import Gallery, build_centroids
 from queryshift.losses import finite_diff_grad, forward_state, param_grad
 from queryshift.synth import SyntheticSpec, generate_benchmark
 from queryshift.vectors import l2_normalize_rows
@@ -59,6 +61,14 @@ class TestForwardAdapter:
         raw = np.array([[0.5, -0.5]])
         params = AdapterParams(gamma=np.ones(2), beta=-raw[0])
         with pytest.raises(ZeroVectorError):
+            forward_adapter(params, raw)
+
+    def test_overflowing_row_norm_raises(self):
+        # Finite parameters whose rows overflow the norm would otherwise be
+        # divided by inf and come out as zero embeddings.
+        raw = np.ones((2, 3))
+        params = AdapterParams(gamma=np.full(3, 1e300), beta=np.zeros(3))
+        with pytest.raises(DivergenceError):
             forward_adapter(params, raw)
 
 
@@ -184,6 +194,13 @@ class TestSgdStep:
         with pytest.raises(LengthMismatchError):
             sgd_step(AdapterParams.identity(3), np.ones(4), 0.1)
 
+    def test_non_finite_parameters_raise(self):
+        p = AdapterParams.identity(3)
+        with pytest.raises(DivergenceError):
+            sgd_step(p, np.full(6, 1e300), 1e300)
+        with pytest.raises(DivergenceError):
+            sgd_step(p, np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), 0.1)
+
 
 class TestSessionConfig:
     def test_validation(self):
@@ -304,6 +321,22 @@ class TestAdaptBatch:
         assert np.array_equal(session.params.flat(), before)
         assert session.queue is before_queue
 
+    @pytest.mark.parametrize("lr", [1e300, math.inf])
+    def test_diverging_batch_leaves_state_unchanged(self, lr):
+        # lr 1e300 leaves finite parameters whose adapted rows overflow the
+        # norm; lr inf makes the parameters themselves non-finite.
+        session, stream, _ = self.make_session()
+        session.adapt_batch(stream[:16])
+        session.adapt_batch(stream[16:32])
+        before = session.params.flat().copy()
+        before_queue = session.queue
+        session.config = dataclasses.replace(session.config, lr=lr)
+        with pytest.raises(DivergenceError):
+            session.adapt_batch(stream[32:48])
+        assert np.array_equal(session.params.flat(), before)
+        assert session.queue is before_queue
+        assert session.step == 2
+
     def test_deterministic_trajectory(self):
         trajs = []
         for _ in range(2):
@@ -375,6 +408,45 @@ class TestRunBaseline:
         session = AdaptationSession(gallery, SessionConfig(k=4, batch_size=16))
         with pytest.raises(UnknownBaselineError):
             session.run_baseline(stream[:16], "shot")
+
+
+def refuse_build_centroids(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_centroids must not run")
+
+    monkeypatch.setattr(adapt, "build_centroids", refuse)
+
+
+class TestLazyCentroids:
+    def test_none_session_never_builds_centroids(self, monkeypatch):
+        refuse_build_centroids(monkeypatch)
+        gallery, stream, _ = small_benchmark(seed=8)
+        session = AdaptationSession(gallery, SessionConfig(k=4, batch_size=12))
+        for i in range(0, 48, 12):
+            session.run_baseline(stream[i : i + 12], "none")
+        assert session.step == 4
+
+    def test_given_centroids_are_used_as_given(self, monkeypatch):
+        gallery, stream, _ = small_benchmark(seed=9)
+        given = build_centroids(gallery, 3, seed=99)
+        refuse_build_centroids(monkeypatch)
+        session = AdaptationSession(gallery, SessionConfig(k=4, batch_size=16), centroids=given)
+        session.adapt_batch(stream[:16])
+        session.run_baseline(stream[16:32], "tent")
+        assert session.centroids is given
+
+    def test_lazy_centroids_equal_build_centroids(self):
+        gallery, stream, _ = small_benchmark(seed=10)
+        cfg = SessionConfig(k=4, batch_size=16, seed=6)
+        session = AdaptationSession(gallery, cfg)
+        assert "centroids" not in vars(session)
+        session.adapt_batch(stream[:16])
+        built = vars(session)["centroids"]
+        session.adapt_batch(stream[16:32])
+        assert session.centroids is built
+        expected = build_centroids(gallery, cfg.k, cfg.seed)
+        assert np.array_equal(built.centroids, expected.centroids)
+        assert built.energy_trace == expected.energy_trace
 
 
 class TestParamGradientMapping:

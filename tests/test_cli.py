@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from queryshift import adapt, cli
 from queryshift.cli import (
     _stream_metrics,
     cmd_adapt,
@@ -271,6 +272,24 @@ class TestCmdAdapt:
         assert report["recall"] == report["initial"]["recall"]
         assert report["final"]["recall"] == report["initial"]["recall"]
 
+    def test_none_scores_the_stream_once_without_centroids(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_centroids must not run")
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _stream_metrics(*args)
+
+        monkeypatch.setattr(adapt, "build_centroids", refuse)
+        monkeypatch.setattr(cli, "_stream_metrics", counted)
+        report = cmd_adapt(parse_config(config_dict(method="none")))
+        assert len(calls) == 1
+        assert report["final"] == report["initial"]
+        assert report["final"] is not report["initial"]
+        assert report["final"]["recall"] is not report["initial"]["recall"]
+
     def test_rest_first_step_source_coincidence(self):
         cfg = parse_config(config_dict(method="rest", decouple=True))
         report = cmd_adapt(cfg)
@@ -451,6 +470,26 @@ class TestMainEntry:
         assert main(argv) == 0
         probe = json.loads(out.read_text())["probe"]
         assert [row["lambda"] for row in probe["offset"]] == [-0.5, 0.0, 1.0]
+
+    def test_diverging_adapter_exit_three(self, tmp_path, monkeypatch, capsys):
+        cfg = config_dict(method="rest", lr=1e300)
+        cfg["synth"].update(dim=16, gallery_size=48, stream_length=128)
+        cfg["synth"]["corruptions"] = [{"kind": "mean_shift", "delta": 1.0, "domain": 0}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "rep.json"
+        argv = ["--config", str(cfg_path), "adapt", "--out", str(out)]
+        # lr 1e300 keeps the parameters finite but overflows the row norms.
+        assert main(argv) == 3
+        assert "non-finite norm" in capsys.readouterr().err
+        # A NaN gradient makes the stepped parameters themselves non-finite.
+        cfg_path.write_text(json.dumps(config_dict(method="tent")), encoding="utf-8")
+        monkeypatch.setattr(
+            adapt, "_em_grad", lambda state: (0.0, np.full(state.z.shape, np.nan))
+        )
+        assert main(argv) == 3
+        assert "parameters are no longer finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_three(self, tmp_path):
         cfg = {

@@ -6,7 +6,7 @@ import pytest
 from queryshift import gallery as gallery_mod
 from queryshift.errors import DimMismatchError, InvalidKError
 from queryshift.gallery import Gallery, build_centroids, knn, knn_table
-from queryshift.vectors import l2_normalize_rows
+from queryshift.vectors import EPS_NORM, l2_normalize_rows
 
 
 def random_gallery(n, d, seed):
@@ -62,6 +62,51 @@ class TestGallery:
             g.items[0, 0] = 5.0
 
 
+def two_pass_lloyd(gallery, k, seed):
+    """Frozen copy of the Lloyd loop that made two distance passes per iteration.
+
+    Returns (centroids, energy_trace); build_centroids must match it bit for bit.
+    """
+
+    def min_sq_dist(items, centroids):
+        sq = (
+            np.sum(items**2, axis=1)[:, None]
+            - 2.0 * items @ centroids.T
+            + np.sum(centroids**2, axis=1)[None, :]
+        )
+        assign = np.argmin(sq, axis=1)
+        return sq[np.arange(items.shape[0]), assign], assign
+
+    items = gallery.items
+    centroids = gallery_mod._kmeanspp_seed(items, k, np.random.default_rng(seed))
+    min_d2, _ = min_sq_dist(items, centroids)
+    trace = [float(min_d2.sum())]
+    for _ in range(gallery_mod._KMEANS_MAX_ITER):
+        min_d2, assign = min_sq_dist(items, centroids)
+        new_centroids = centroids.copy()
+        counts = np.bincount(assign, minlength=k)
+        for c in range(k):
+            if counts[c] == 0:
+                continue
+            mean = items[assign == c].mean(axis=0)
+            norm = np.linalg.norm(mean)
+            if norm > EPS_NORM:
+                new_centroids[c] = mean / norm
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            farthest = np.argsort(-min_d2, kind="stable")
+            for slot, c in enumerate(empty):
+                new_centroids[c] = items[farthest[slot]]
+        centroids = new_centroids
+        min_d2, _ = min_sq_dist(items, centroids)
+        new_energy = float(min_d2.sum())
+        improved = trace[-1] - new_energy
+        trace.append(new_energy)
+        if improved < gallery_mod._KMEANS_TOL:
+            break
+    return centroids, tuple(trace)
+
+
 class TestBuildCentroids:
     def test_two_obvious_clusters(self):
         items = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 5)
@@ -106,6 +151,33 @@ class TestBuildCentroids:
         g = random_gallery(30, 6, 8)
         cents = build_centroids(g, 5, seed=2)
         np.testing.assert_allclose(np.linalg.norm(cents.centroids, axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
+    @pytest.mark.parametrize(
+        "n, d, k",
+        [(60, 4, 7), (300, 8, 10), (25, 5, 1), (12, 6, 12), (400, 32, 10)],
+    )
+    def test_bit_identical_to_two_pass_loop(self, n, d, k, seed):
+        g = random_gallery(n, d, seed + 100)
+        cents = build_centroids(g, k, seed)
+        centroids, trace = two_pass_lloyd(g, k, seed)
+        assert np.array_equal(cents.centroids, centroids)
+        assert cents.energy_trace == trace
+        assert cents.energy == trace[-1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
+    def test_bit_identical_with_empty_cluster_reseed(self, seed):
+        # Five distinct rows, each repeated: k-means++ runs out of mass after
+        # five picks and draws repeats, so some clusters start out empty.
+        rng = np.random.default_rng(seed)
+        g = Gallery(np.repeat(l2_normalize_rows(rng.standard_normal((5, 4))), 4, axis=0))
+        k = 8
+        seeded = gallery_mod._kmeanspp_seed(g.items, k, np.random.default_rng(seed))
+        assert len(np.unique(seeded, axis=0)) < k
+        cents = build_centroids(g, k, seed)
+        centroids, trace = two_pass_lloyd(g, k, seed)
+        assert np.array_equal(cents.centroids, centroids)
+        assert cents.energy_trace == trace
 
     def test_invalid_k(self):
         g = random_gallery(5, 3, 0)
