@@ -103,14 +103,14 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise InvalidSpecError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise InvalidSpecError(f"tau must be finite and > 0, got {self.tau}")
         if self.k < 1:
             raise InvalidSpecError(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
             raise InvalidSpecError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise InvalidSpecError(f"learning rate must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidSpecError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -194,7 +194,9 @@ def sgd_step(params: AdapterParams, grad: np.ndarray, lr: float) -> AdapterParam
         raise LengthMismatchError(
             f"gradient length {grad.size} does not match 2*dim={2 * params.dim}"
         )
-    theta = params.flat() - lr * grad
+    # An overflow is caught by the finiteness check below.
+    with np.errstate(over="ignore"):
+        theta = params.flat() - lr * grad
     if not np.all(np.isfinite(theta)):
         raise DivergenceError("adapter parameters are no longer finite")
     return AdapterParams.from_flat(theta)

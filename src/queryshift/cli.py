@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import struct
 import sys
 import time
@@ -50,6 +51,9 @@ _HEADER = struct.Struct("<4sII")
 _METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, RANK_DEPTH)
 _JSON_TYPES = {"bool": bool, "int": int, "number": (int, float), "string": str, "array": list}
+# A ground-truth id as np.loadtxt reads an int64: optional whitespace and
+# sign around ASCII digits (``\s`` is str.isspace's set).
+_ID_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 # ---------------------------------------------------------------------------
@@ -89,37 +93,62 @@ def read_embeddings(path) -> np.ndarray:
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
-    lines = []
-    for qi, rel in enumerate(truth.relevant):
-        for gi in sorted(rel):
-            lines.append(f"{qi}\t{gi}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    pairs = zip(truth.row_ids().tolist(), truth.indices.tolist())
+    Path(path).write_text("".join(f"{qi}\t{gi}\n" for qi, gi in pairs), encoding="utf-8")
 
 
 def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
+    """Parse a ``query<TAB>gallery`` file into CSR ground truth.
+
+    Blank and whitespace-only lines are skipped and duplicate pairs collapse.
+    An id is an optionally signed run of ASCII digits, with optional
+    surrounding whitespace. Every rejection names the file line at fault.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
-    relevant = [set() for _ in range(num_queries)]
+    # np.loadtxt reads the common, ASCII-only file fast. Given a bad field
+    # holding non-ASCII text it can crash the process, so other files are read
+    # line by line, as is every file it cannot take, to name the bad line.
+    pairs = None
+    rows = list(filter(str.strip, text.splitlines())) if text.isascii() else []
+    if rows:
+        try:
+            pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    limits = np.array([num_queries, gallery_size])
+    if pairs is None or pairs.shape[1] != 2 or np.any((pairs < 0) | (pairs >= limits)):
+        pairs = _pairs_by_line(path, text, num_queries, gallery_size)
+    keys = np.sort(pairs[:, 0] * gallery_size + pairs[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    counts = np.bincount(keys // gallery_size, minlength=num_queries)
+    if not counts.all():
+        raise BadInputError(f"{path}: query {int(np.argmin(counts))} has no relevant items")
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return GroundTruth(indptr=indptr, indices=keys % gallery_size)
+
+
+def _pairs_by_line(path, text: str, num_queries: int, gallery_size: int) -> np.ndarray:
+    """The (query, gallery) pairs of ``text``, read line by line; raises the
+    BadInputError of the first line that is not a valid pair."""
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise BadInputError(f"{path}:{lineno}: expected two tab-separated fields")
-        try:
-            qi, gi = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise BadInputError(f"{path}:{lineno}: non-integer index") from exc
+        if not all(_ID_FIELD.fullmatch(p) for p in parts):
+            raise BadInputError(f"{path}:{lineno}: non-integer index")
+        qi, gi = int(parts[0]), int(parts[1])
         if not 0 <= qi < num_queries:
             raise BadInputError(f"{path}:{lineno}: query index {qi} out of range")
         if not 0 <= gi < gallery_size:
             raise BadInputError(f"{path}:{lineno}: gallery index {gi} out of range")
-        relevant[qi].add(gi)
-    if any(not r for r in relevant):
-        raise BadInputError(f"{path}: some queries have no relevant items")
-    return GroundTruth(relevant=tuple(frozenset(r) for r in relevant))
+        pairs.append((qi, gi))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +291,7 @@ def parse_config(obj: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -338,7 +367,7 @@ def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth) -> dict
     rankings = knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
     return {
         "uniformity": metric_uniformity(z),
-        "gap": metric_gap(z, gallery.items),
+        "gap": metric_gap(z, gallery.center),
         "consistency": metric_consistency(z, gallery.items, truth),
         "recall": {
             str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS
@@ -400,7 +429,7 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         else:
             result = session.run_baseline(raw, cfg.method)
 
-        batch_truth = GroundTruth(relevant=truth.relevant[start : start + cfg.batch])
+        batch_truth = truth[start : start + cfg.batch]
         batch_hits = {k: count_hits(result.rankings, batch_truth, k) for k in _RECALL_KS}
         for k in _RECALL_KS:
             hits[k] += batch_hits[k]
@@ -410,7 +439,7 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         for term in ("l_u", "l_g", "l_rem", "l_rhm"):
             row[term] = None if bd is None else getattr(bd, term)
         row["uniformity"] = metric_uniformity(result.z)
-        row["gap"] = metric_gap(result.z, gallery.items)
+        row["gap"] = metric_gap(result.z, gallery.center)
         row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth)
         row["recall_1"] = batch_hits[1] / len(batch_truth)
         for key, value in row.items():
@@ -442,7 +471,6 @@ def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     started = time.monotonic()
     gallery, stream, truth = _load_inputs(cfg)
     z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-    gallery_mean = gallery.items.mean(axis=0)
 
     scale_rows = []
     for lam in lambda_scale:
@@ -452,7 +480,7 @@ def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     offset_rows = []
     for lam in lambda_offset:
         row = {"lambda": float(lam)}
-        row.update(_stream_metrics(offset_queries(z0, gallery_mean, float(lam)), gallery, truth))
+        row.update(_stream_metrics(offset_queries(z0, gallery.center, float(lam)), gallery, truth))
         offset_rows.append(row)
 
     return {

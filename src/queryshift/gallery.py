@@ -6,6 +6,7 @@ embeddings move. Both structures are safe to share across threads once built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ class Gallery:
     @property
     def dim(self) -> int:
         return self.items.shape[1]
+
+    @functools.cached_property
+    def center(self) -> np.ndarray:
+        """Mean of the rows, computed once."""
+        return _frozen_copy(self.items.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -109,15 +115,23 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
         raise DimMismatchError("query batch does not match gallery dim")
     if not 1 <= k <= gallery.size:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for rows in _row_blocks(queries.shape[0], gallery.size):
-        out[rows] = _topk(queries[rows] @ gallery.items.T, k)
+    n = queries.shape[0]
+    out = np.empty((n, k), dtype=np.int64)
+    # One score buffer per call, and top-k selection over half blocks, as
+    # argpartition returns one int64 id per score: fresh 8 MB temporaries
+    # would each fault their pages in anew.
+    buf = np.empty((min(n, max(1, SCORE_BLOCK // gallery.size)), gallery.size))
+    for rows in _row_blocks(n, gallery.size):
+        scores = np.matmul(queries[rows], gallery.items.T, out=buf[: rows.stop - rows.start])
+        for part in _row_blocks(scores.shape[0], gallery.size, SCORE_BLOCK // 2):
+            out[rows][part] = _topk(scores[part], k)
     return out
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Row slices of an n_rows x n_cols score matrix, each within SCORE_BLOCK."""
-    step = max(1, SCORE_BLOCK // n_cols)
+def _row_blocks(n_rows: int, n_cols: int, block: int | None = None):
+    """Row slices of an n_rows x n_cols matrix, each within ``block`` entries
+    (SCORE_BLOCK by default) unless a single row is wider."""
+    step = max(1, (SCORE_BLOCK if block is None else block) // n_cols)
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -130,11 +144,14 @@ def _topk(scores: np.ndarray, k: int) -> np.ndarray:
     kth = top.min(axis=1)
     # argpartition picks arbitrarily among scores equal to the k-th. Where
     # such ties reach past the cut, reselect the row from every entry scoring
-    # at least the k-th, so that the lower ids win.
-    for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > k):
-        cand = np.flatnonzero(scores[r] >= kth[r])
-        ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
-        top[r] = scores[r, ids[r]]
+    # at least the k-th, so that the lower ids win. Each row has k such
+    # entries, so only a larger total needs the slower per-row count.
+    at_least = scores >= kth[:, None]
+    if np.count_nonzero(at_least) > k * scores.shape[0]:
+        for r in np.flatnonzero(np.count_nonzero(at_least, axis=1) > k):
+            cand = np.flatnonzero(at_least[r])
+            ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
+            top[r] = scores[r, ids[r]]
     order = np.lexsort((ids, -top), axis=1)
     return np.take_along_axis(ids, order, axis=1)
 

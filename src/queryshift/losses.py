@@ -98,8 +98,10 @@ def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
     raw = np.asarray(raw, dtype=np.float64)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw queries contain non-finite entries")
-    pre = gamma[None, :] * raw + beta[None, :]
-    norms = np.linalg.norm(pre, axis=1)
+    # An overflow is caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = gamma[None, :] * raw + beta[None, :]
+        norms = np.linalg.norm(pre, axis=1)
     if not np.all(np.isfinite(norms)):
         raise DivergenceError("adapter output row has a non-finite norm")
     if np.any(norms <= EPS_NORM):

@@ -9,6 +9,7 @@ generator seeded explicitly, so every artifact is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -81,18 +82,68 @@ class CorruptionSpec:
             raise InvalidSpecError("compose needs a non-empty part list")
 
 
+def _frozen_ids(a) -> np.ndarray:
+    out = np.array(a, dtype=np.int64)
+    if out.ndim != 1:
+        raise InvalidSpecError("ground-truth arrays must be 1-D")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    """Relevant gallery ids per query index."""
+    """Relevant gallery ids per query index, stored as CSR arrays.
 
-    relevant: tuple
+    Query ``qi`` is relevant to ``indices[indptr[qi]:indptr[qi + 1]]``, a
+    non-empty run of sorted, unique gallery ids. Both arrays are read-only
+    int64. ``truth[a:b]`` is the ground truth of queries a..b-1.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        if any(len(r) == 0 for r in self.relevant):
+        indptr, indices = _frozen_ids(self.indptr), _frozen_ids(self.indices)
+        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise InvalidSpecError("indptr must run from 0 to the number of ids")
+        if np.any(np.diff(indptr) < 1):
             raise InvalidSpecError("every query needs at least one relevant id")
+        # Ids must rise within each row; a row start may fall back.
+        rising = np.diff(indices) > 0
+        rising[indptr[1:-1] - 1] = True
+        if not rising.all() or indices.min(initial=0) < 0:
+            raise InvalidSpecError("each query's ids must be non-negative, sorted and unique")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def from_sets(cls, relevant) -> "GroundTruth":
+        """Ground truth from one iterable of gallery ids per query."""
+        rows = [sorted(set(r)) for r in relevant]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        return cls(indptr=indptr, indices=list(itertools.chain.from_iterable(rows)))
 
     def __len__(self) -> int:
-        return len(self.relevant)
+        return self.indptr.size - 1
+
+    def __getitem__(self, rows: slice) -> "GroundTruth":
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("ground truth slices must be contiguous")
+        stop = max(start, stop)
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return GroundTruth(indptr=self.indptr[start : stop + 1] - lo, indices=self.indices[lo:hi])
+
+    @functools.cached_property
+    def relevant(self) -> tuple:
+        """The relevant ids of each query as a tuple of frozensets."""
+        bounds = self.indptr.tolist()
+        ids = self.indices.tolist()
+        return tuple(frozenset(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def row_ids(self) -> np.ndarray:
+        """The query index of every entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 def generate_benchmark(spec: SyntheticSpec):
@@ -116,8 +167,8 @@ def generate_benchmark(spec: SyntheticSpec):
         (spec.stream_length, spec.dim)
     )
 
-    by_class = [frozenset(np.flatnonzero(g_classes == c).tolist()) for c in range(spec.classes)]
-    truth = GroundTruth(relevant=tuple(by_class[int(c)] for c in q_classes))
+    members = [np.flatnonzero(g_classes == c).tolist() for c in range(spec.classes)]
+    truth = GroundTruth.from_sets(members[c] for c in q_classes)
     return gallery, stream, truth
 
 
@@ -216,49 +267,52 @@ def metric_uniformity(z: np.ndarray) -> float:
 
 
 def metric_gap(z_q: np.ndarray, z_g: np.ndarray) -> float:
-    """Euclidean distance between the query and gallery centers."""
+    """Euclidean distance between the query and gallery centers; ``z_g`` is
+    the gallery's rows or its 1-D center (``Gallery.center``)."""
     z_q = np.asarray(z_q, dtype=np.float64)
     z_g = np.asarray(z_g, dtype=np.float64)
-    if z_q.shape[1] != z_g.shape[1]:
+    if z_q.shape[1] != z_g.shape[-1]:
         raise DimMismatchError("query and gallery batches differ in dim")
-    return float(np.linalg.norm(z_q.mean(axis=0) - z_g.mean(axis=0)))
+    g_center = z_g if z_g.ndim == 1 else z_g.mean(axis=0)
+    return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
 
 
 def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth) -> float:
     """Mean cosine similarity over all correctly associated pairs.
 
-    Queries are scored against the gallery in the row blocks of
-    ``knn_table``, so memory stays flat in the number of queries.
+    Only the relevant pairs are scored, in blocks whose two gathered
+    (pairs, dim) operands hold at most ``SCORE_BLOCK`` values, so memory
+    stays flat in the number of pairs.
     """
     z_q = np.asarray(z_q, dtype=np.float64)
     z_g = np.asarray(z_g, dtype=np.float64)
-    counts = np.array([len(rel) for rel in truth.relevant], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    if indptr[-1] == 0:
+    rows, ids = truth.row_ids(), truth.indices
+    if ids.size == 0:
         raise EmptyGroundTruthError("no relevance pairs")
-    ids = np.fromiter(
-        itertools.chain.from_iterable(truth.relevant), dtype=np.int64, count=indptr[-1]
-    )
     total = 0.0
-    for rows in _row_blocks(len(truth), z_g.shape[0]):
-        sims = z_q[rows] @ z_g.T
-        local = np.repeat(np.arange(sims.shape[0]), counts[rows])
-        total += float(sims[local, ids[indptr[rows.start] : indptr[rows.stop]]].sum())
-    return total / int(indptr[-1])
+    for pairs in _row_blocks(ids.size, 2 * z_g.shape[1]):
+        total += float(np.vdot(z_q.take(rows[pairs], axis=0), z_g.take(ids[pairs], axis=0)))
+    return total / ids.size
 
 
 def count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:
-    """Number of queries whose top-k ranked ids hit a relevant item."""
+    """Number of queries whose top-k ranked ids hit a relevant item.
+
+    Each (query, id) pair is the key ``query * span + id``; the ground
+    truth's keys are sorted, so one ``searchsorted`` finds every hit.
+    """
     rankings = np.asarray(rankings)
-    if rankings.shape[0] < len(truth):
+    n = len(truth)
+    if rankings.shape[0] < n:
         raise MissingQueryError(
-            f"rankings cover {rankings.shape[0]} queries, ground truth has {len(truth)}"
+            f"rankings cover {rankings.shape[0]} queries, ground truth has {n}"
         )
-    return sum(
-        1
-        for qi, rel in enumerate(truth.relevant)
-        if any(g in rel for g in rankings[qi, :k].tolist())
-    )
+    top = rankings[:n, :k]
+    span = max(int(truth.indices.max(initial=0)), int(top.max(initial=0))) + 1
+    keys = truth.row_ids() * span + truth.indices
+    want = np.arange(n)[:, None] * span + top
+    found = keys[np.searchsorted(keys, want).clip(max=keys.size - 1)] == want
+    return int(np.count_nonzero((found & (top >= 0)).any(axis=1)))
 
 
 def recall_at_k(rankings: np.ndarray, truth: GroundTruth, k: int) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -201,6 +202,23 @@ class TestSgdStep:
         with pytest.raises(DivergenceError):
             sgd_step(p, np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), 0.1)
 
+    def test_divergence_raises_without_overflow_warnings(self):
+        # The finiteness checks raise, so numpy's overflow warnings would be
+        # noise: the lr 1e300 probe must raise DivergenceError and nothing else.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                sgd_step(AdapterParams.identity(3), np.full(6, 1e300), 1e300)
+            with pytest.raises(DivergenceError):
+                forward_adapter(
+                    AdapterParams(gamma=np.full(3, 1e300), beta=np.zeros(3)), np.ones((2, 3))
+                )
+            gallery_, stream, _ = small_benchmark(seed=1, stream=32)
+            session = AdaptationSession(gallery_, SessionConfig(k=5, batch_size=16, lr=1e300))
+            with pytest.raises(DivergenceError):
+                for i in range(0, 32, 16):
+                    session.adapt_batch(stream[i : i + 16])
+
 
 class TestSessionConfig:
     def test_validation(self):
@@ -212,6 +230,13 @@ class TestSessionConfig:
             SessionConfig(batch_size=0)
         with pytest.raises(InvalidSpecError):
             SessionConfig(lr=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tau_and_lr_rejected(self, value):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            SessionConfig(tau=value)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            SessionConfig(lr=value)
 
     def test_gallery_too_small_for_k(self):
         gallery, _, _ = small_benchmark(gallery=8, classes=8)
@@ -294,7 +319,7 @@ class TestAdaptBatch:
     def test_no_self_harm_on_clean_stream(self):
         # Ten batches of in-distribution queries: the adapted recall must
         # stay within one absolute point of the frozen source model.
-        from queryshift.synth import GroundTruth, recall_at_k
+        from queryshift.synth import recall_at_k
 
         gallery, stream, truth = small_benchmark(seed=3, stream=160)
         cfg = SessionConfig(tau=0.02, k=5, batch_size=16, lr=1e-3, decouple=True, seed=3)
@@ -302,7 +327,7 @@ class TestAdaptBatch:
         noadapt = AdaptationSession(gallery, cfg)
         hits_rest = hits_none = 0
         for i in range(0, 160, 16):
-            bt = GroundTruth(relevant=truth.relevant[i : i + 16])
+            bt = truth[i : i + 16]
             r1 = session.adapt_batch(stream[i : i + 16])
             r2 = noadapt.run_baseline(stream[i : i + 16], "none")
             hits_rest += round(recall_at_k(r1.rankings, bt, 1) * len(bt))
@@ -330,7 +355,11 @@ class TestAdaptBatch:
         session.adapt_batch(stream[16:32])
         before = session.params.flat().copy()
         before_queue = session.queue
-        session.config = dataclasses.replace(session.config, lr=lr)
+        config = dataclasses.replace(session.config)
+        # SessionConfig rejects a non-finite lr; set it past that check to
+        # reach the guard in sgd_step.
+        object.__setattr__(config, "lr", lr)
+        session.config = config
         with pytest.raises(DivergenceError):
             session.adapt_batch(stream[32:48])
         assert np.array_equal(session.params.flat(), before)

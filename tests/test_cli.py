@@ -1,8 +1,10 @@
 import copy
+import itertools
 import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,9 +115,151 @@ class TestEmbeddingFile:
             read_embeddings(path)
 
 
+def read_ground_truth_by_lines(path, num_queries, gallery_size):
+    """Frozen copy of the line-loop parser read_ground_truth once was."""
+    text = Path(path).read_text(encoding="utf-8")
+    relevant = [set() for _ in range(num_queries)]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise BadInputError(f"{path}:{lineno}: expected two tab-separated fields")
+        try:
+            qi, gi = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise BadInputError(f"{path}:{lineno}: non-integer index") from exc
+        if not 0 <= qi < num_queries:
+            raise BadInputError(f"{path}:{lineno}: query index {qi} out of range")
+        if not 0 <= gi < gallery_size:
+            raise BadInputError(f"{path}:{lineno}: gallery index {gi} out of range")
+        relevant[qi].add(gi)
+    if any(not r for r in relevant):
+        raise BadInputError(f"{path}: some queries have no relevant items")
+    return tuple(frozenset(r) for r in relevant)
+
+
+def random_truth_text(rng, num_queries, gallery_size):
+    """Every query covered, pairs shuffled and repeated, ids padded, signed or
+    zero-filled, blank and whitespace-only lines, mixed line endings."""
+    pairs = [(q, int(rng.integers(0, gallery_size))) for q in range(num_queries)]
+    pairs += [
+        (int(rng.integers(0, num_queries)), int(rng.integers(0, gallery_size)))
+        for _ in range(int(rng.integers(0, 3 * num_queries)))
+    ]
+    pairs += [pairs[int(i)] for i in rng.integers(0, len(pairs), int(rng.integers(0, 5)))]
+    # Half the files are ASCII only, the fast path's input.
+    spaces = ["", "", " ", "  "] + (["\xa0"] if rng.random() < 0.5 else [])
+    pad = lambda: str(rng.choice(spaces))
+    num = lambda v: pad() + str(rng.choice(["", "", "+", "0", "00"])) + str(v) + pad()
+    lines = []
+    for i in rng.permutation(len(pairs)):
+        q, g = pairs[int(i)]
+        while rng.random() < 0.2:
+            lines.append(str(rng.choice(["", " ", "\t", " \t "] + spaces)))
+        lines.append(f"{num(q)}\t{num(g)}")
+    ends = [str(rng.choice(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.7 else text.rstrip("\r\n")
+
+
 class TestGroundTruthFile:
+    def test_matches_line_loop_parser(self, tmp_path):
+        rng = np.random.default_rng(30)
+        path = tmp_path / "gt.tsv"
+        for _ in range(150):
+            n, g = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            path.write_bytes(random_truth_text(rng, n, g).encode("utf-8"))
+            want = read_ground_truth_by_lines(path, n, g)
+            truth = read_ground_truth(path, n, g)
+            assert truth.relevant == want
+            assert truth.indices.tolist() == [i for rel in want for i in sorted(rel)]
+
+    def test_duplicates_collapse_and_rows_sort(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_bytes(b"1\t3\r\n0\t2\r\n1\t0\r\n\r\n1\t3\r\n  \r\n0\t2")
+        truth = read_ground_truth(path, 2, 4)
+        assert truth.indptr.tolist() == [0, 1, 3]
+        assert truth.indices.tolist() == [2, 0, 3]
+
+    def test_empty_file_with_no_queries(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("\n \n", encoding="utf-8")
+        assert len(read_ground_truth(path, 0, 4)) == 0
+
+    # Blank lines come first, so the bad line's number differs from its row.
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0\t1\t2", "expected two tab-separated fields"),
+            ("0 1", "expected two tab-separated fields"),
+            ("0\t", "non-integer index"),
+            ("0\tx", "non-integer index"),
+            ("0\t1.0", "non-integer index"),
+            ("5\t1", "query index 5 out of range"),
+            ("-1\t1", "query index -1 out of range"),
+            ("0\t9", "gallery index 9 out of range"),
+            ("99999999999999999999\t1", "query index 99999999999999999999 out of range"),
+        ],
+    )
+    def test_rejection_names_the_file_line(self, tmp_path, bad, message):
+        path = tmp_path / "gt.tsv"
+        # The bad line is line 7; a later line is bad in another way.
+        lines = ["0\t1", "", "  ", "1\t2", "\t", "", bad, "1\t3", "0\tz", "7\t0"]
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        with pytest.raises(BadInputError) as got:
+            read_ground_truth(path, 2, 4)
+        assert str(got.value) == f"{path}:7: {message}"
+        with pytest.raises(BadInputError) as old:
+            read_ground_truth_by_lines(path, 2, 4)
+        assert str(old.value) == str(got.value)
+
+    def test_uncovered_query_is_named(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("\n0\t1\n\n2\t3\n", encoding="utf-8")
+        with pytest.raises(BadInputError, match=r"gt\.tsv: query 1 has no relevant items"):
+            read_ground_truth(path, 3, 4)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff11"])
+    def test_python_int_quirks_rejected(self, tmp_path, field):
+        # int() reads these; ids are ASCII decimal, so the parser does not.
+        path = tmp_path / "gt.tsv"
+        path.write_text(f"\n0\t{field}\n", encoding="utf-8")
+        with pytest.raises(BadInputError, match=r":2: non-integer index"):
+            read_ground_truth(path, 1, 20)
+
+    def test_id_grammar_matches_numpy(self):
+        # On ASCII files the line-by-line path only names the bad line, so
+        # cli._ID_FIELD must accept exactly the fields np.loadtxt parses.
+        alphabet = ["0", "7", "+", "-", " ", "\x0c", "\x1f", "_", "x", ".", "e", "\x00"]
+        for n in range(4):
+            for chars in itertools.product(alphabet, repeat=n):
+                field = "".join(chars)
+                for row in (f"{field}\t0", f"0\t{field}"):
+                    try:
+                        np.loadtxt([row], dtype=np.int64, delimiter="\t", comments=None)
+                        parsed = True
+                    except ValueError:
+                        parsed = False
+                    assert bool(cli._ID_FIELD.fullmatch(field)) == parsed, repr(field)
+
+    def test_non_ascii_bad_field_rejected_by_line(self, tmp_path):
+        # np.loadtxt can crash on such a field; non-ASCII files never reach it.
+        path = tmp_path / "gt.tsv"
+        path.write_text("0\t1\n\n0\t\U00097560\n", encoding="utf-8")
+        with pytest.raises(BadInputError, match=r"gt\.tsv:3: non-integer index"):
+            read_ground_truth(path, 1, 4)
+        path.write_text("0\u3000\t\xa01\n", encoding="utf-8")
+        assert read_ground_truth(path, 1, 4).relevant == (frozenset({1}),)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_bytes(b"0\t1\n\xff\t2\n")
+        with pytest.raises(BadInputError, match="cannot read"):
+            read_ground_truth(path, 1, 4)
+
     def test_round_trip(self, tmp_path):
-        truth = GroundTruth(relevant=(frozenset({1, 3}), frozenset({0})))
+        truth = GroundTruth.from_sets((frozenset({1, 3}), frozenset({0})))
         path = tmp_path / "gt.tsv"
         write_ground_truth(path, truth)
         back = read_ground_truth(path, 2, 4)
@@ -403,7 +547,7 @@ class TestCmdGradcheckAndMetrics:
         gallery = Gallery(l2_normalize_rows(rng.standard_normal((8192, 32))))
         z = l2_normalize_rows(rng.standard_normal((2048, 32)))
         by_class = [frozenset(range(c, 8192, 64)) for c in range(64)]
-        truth = GroundTruth(relevant=tuple(by_class[i % 64] for i in range(2048)))
+        truth = GroundTruth.from_sets(tuple(by_class[i % 64] for i in range(2048)))
         tracemalloc.start()
         try:
             metrics = _stream_metrics(z, gallery, truth)
@@ -503,6 +647,28 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["--config", str(cfg_path), "adapt"]) == 3
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"method": "none"\xff}')
+        assert main(["--config", str(cfg_path), "adapt"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_ground_truth_not_utf8_exit_three(self, tmp_path, capsys):
+        files = cmd_synth(parse_config(config_dict()), tmp_path / "bench")["files"]
+        Path(files["ground_truth"]).write_bytes(b"0\t1\n\xff\n")
+        cfg = {
+            "method": "none",
+            "paths": {
+                "gallery": files["gallery"],
+                "queries": files["queries_corrupt"],
+                "ground_truth": files["ground_truth"],
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt"]) == 3
+        assert "cannot read" in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

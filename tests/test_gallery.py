@@ -56,6 +56,12 @@ class TestGallery:
         with pytest.raises(ValueError):
             Gallery(np.array([[np.nan, 1.0]]))
 
+    def test_center_is_the_row_mean_computed_once(self):
+        g = random_gallery(40, 5, 3)
+        assert np.array_equal(g.center, g.items.mean(axis=0))
+        assert g.center is g.center
+        assert not g.center.flags.writeable
+
     def test_items_are_frozen(self):
         g = random_gallery(4, 3, 0)
         with pytest.raises(ValueError):
@@ -248,6 +254,27 @@ class TestKnn:
             for k in {1, n, int(rng.integers(1, n + 1))}:
                 want = [linear_scan_oracle(g.items, q, k) for q in queries]
                 assert knn_table(g, queries, k).tolist() == want
+
+    @pytest.mark.parametrize("block", [1 << 20, 5 * 37, 4 * 37 + 3, 2 * 37, 3])
+    def test_buffered_blocks_match_per_block_scoring(self, monkeypatch, block):
+        # The earlier knn_table: one fresh score matrix per row block.
+        def per_block(g, queries, k):
+            out = np.empty((queries.shape[0], k), dtype=np.int64)
+            for rows in gallery_mod._row_blocks(queries.shape[0], g.size):
+                out[rows] = gallery_mod._topk(queries[rows] @ g.items.T, k)
+            return out
+
+        monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+        rng = np.random.default_rng(18)
+        tied, tied_queries = tied_instance(rng, 37, 23)
+        plain = random_gallery(37, 6, 19)
+        plain_queries = l2_normalize_rows(rng.standard_normal((23, 6)))
+        for g, queries in ((tied, tied_queries), (plain, plain_queries)):
+            for k in (1, 5, 37):
+                want = per_block(g, queries, k)
+                assert np.array_equal(knn_table(g, queries, k), want)
+                # Fewer queries than one block's rows.
+                assert np.array_equal(knn_table(g, queries[:2], k), per_block(g, queries[:2], k))
 
     def test_row_blocks_match_single_block(self, monkeypatch):
         rng = np.random.default_rng(17)

@@ -17,6 +17,7 @@ from queryshift.synth import (
     SyntheticSpec,
     apply_corruption,
     corrupt_stream,
+    count_hits,
     generate_benchmark,
     metric_consistency,
     metric_gap,
@@ -42,6 +43,22 @@ def consistency_by_pairs(z_q, z_g, truth):
             total += float(np.dot(z_q[qi], z_g[gi]))
             count += 1
     return total / count
+
+
+def count_hits_by_sets(rankings, relevant, k):
+    """Frozen copy of the set-based count_hits this module once had."""
+    return sum(
+        1
+        for qi, rel in enumerate(relevant)
+        if any(g in rel for g in np.asarray(rankings)[qi, :k].tolist())
+    )
+
+
+def random_relevant(rng, n_queries, n_items):
+    return tuple(
+        frozenset(rng.choice(n_items, int(rng.integers(1, n_items + 1)), replace=False).tolist())
+        for _ in range(n_queries)
+    )
 
 
 def source_recall(gallery, stream, truth, k=1):
@@ -89,6 +106,86 @@ class TestGenerateBenchmark:
             SyntheticSpec(classes=4, dim=8, gallery_size=3, stream_length=4)
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(classes=4, dim=8, gallery_size=8, stream_length=4, sigma_query=-1.0)
+
+
+class TestGroundTruth:
+    def test_relevant_round_trips(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            relevant = random_relevant(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
+            truth = GroundTruth.from_sets(relevant)
+            assert truth.relevant == relevant
+            assert len(truth) == len(relevant)
+            back = GroundTruth(indptr=truth.indptr, indices=truth.indices)
+            assert back.relevant == relevant
+
+    def test_arrays_are_read_only_sorted_int64(self):
+        truth = GroundTruth.from_sets([{5, 1, 3}, [2, 2, 0]])
+        assert truth.indptr.tolist() == [0, 3, 5]
+        assert truth.indices.tolist() == [1, 3, 5, 0, 2]
+        for arr in (truth.indptr, truth.indices):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+        assert truth.row_ids().tolist() == [0, 0, 0, 1, 1]
+
+    def test_construction_copies_its_inputs(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([4, 2])
+        truth = GroundTruth(indptr=indptr, indices=indices)
+        indices[0] = 9
+        assert indices.flags.writeable
+        assert truth.indices.tolist() == [4, 2]
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 2], [3, 1]),  # unsorted row
+            ([0, 2], [1, 1]),  # duplicate id
+            ([0, 1], [-1]),  # negative id
+            ([0, 1, 1], [0]),  # empty row
+            ([1, 2], [0, 1]),  # indptr not from 0
+            ([0, 3], [0, 1]),  # indptr past the ids
+            ([], []),  # no indptr at all
+            ([[0, 1]], [0]),  # not 1-D
+        ],
+    )
+    def test_malformed_arrays_rejected(self, indptr, indices):
+        with pytest.raises(InvalidSpecError):
+            GroundTruth(indptr=indptr, indices=indices)
+
+    def test_rows_may_restart_lower(self):
+        truth = GroundTruth(indptr=[0, 2, 3], indices=[4, 7, 1])
+        assert truth.relevant == (frozenset({4, 7}), frozenset({1}))
+
+    def test_slices_are_row_ranges(self):
+        rng = np.random.default_rng(21)
+        relevant = random_relevant(rng, 13, 20)
+        truth = GroundTruth.from_sets(relevant)
+        for a, b in [(0, 13), (0, 5), (5, 13), (4, 9), (12, 13), (10, 40), (6, 6)]:
+            part = truth[a:b]
+            assert part.relevant == relevant[a:b]
+            assert part.indptr[0] == 0
+        with pytest.raises(ValueError):
+            truth[::2]
+
+    def test_generated_rows_are_whole_classes(self):
+        spec = SyntheticSpec(classes=5, dim=8, gallery_size=23, stream_length=40, seed=4)
+        _, _, truth = generate_benchmark(spec)
+        for rel in truth.relevant:
+            cls = min(rel) % 5
+            assert rel == frozenset(range(cls, 23, 5))
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_count_hits_matches_set_oracle(self, k):
+        rng = np.random.default_rng(22 + k)
+        for _ in range(50):
+            n, n_items = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+            relevant = random_relevant(rng, n, n_items)
+            truth = GroundTruth.from_sets(relevant)
+            # More ranking rows than queries, ids past the truth's largest
+            # and a few negative ids.
+            extra = int(rng.integers(0, 4))
+            rankings = rng.integers(-2, n_items + 5, (n + extra, int(rng.integers(1, 12))))
+            assert count_hits(rankings, truth, k) == count_hits_by_sets(rankings, relevant, k)
 
 
 class TestApplyCorruption:
@@ -280,63 +377,69 @@ class TestMetrics:
         b = l2_normalize_rows(rng.standard_normal((7, 4)))
         assert metric_gap(a, b) == pytest.approx(metric_gap(b, a), abs=1e-12)
 
+    def test_gap_to_gallery_center_is_bit_identical(self):
+        rng = np.random.default_rng(14)
+        g = gallery_mod.Gallery(l2_normalize_rows(rng.standard_normal((50, 6))))
+        z = l2_normalize_rows(rng.standard_normal((9, 6)))
+        assert metric_gap(z, g.center) == metric_gap(z, g.items)
+        with pytest.raises(DimMismatchError):
+            metric_gap(np.ones((2, 3)), np.ones(4))
+
     def test_gap_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             metric_gap(np.ones((2, 3)), np.ones((2, 4)))
 
     def test_consistency_perfect(self):
         z = np.eye(3)
-        truth = GroundTruth(relevant=(frozenset({0}), frozenset({1}), frozenset({2})))
+        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1}), frozenset({2})))
         assert metric_consistency(z, z, truth) == pytest.approx(1.0)
 
     def test_consistency_orthogonal(self):
         z_q = np.eye(2)
         z_g = np.array([[0.0, 1.0], [1.0, 0.0]])
-        truth = GroundTruth(relevant=(frozenset({0}), frozenset({1})))
+        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
         assert metric_consistency(z_q, z_g, truth) == pytest.approx(0.0)
 
     def test_consistency_mixed_half(self):
         z_q = np.eye(2)
         z_g = np.array([[1.0, 0.0], [1.0, 0.0]])
-        truth = GroundTruth(relevant=(frozenset({0}), frozenset({1})))
+        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
         assert metric_consistency(z_q, z_g, truth) == pytest.approx(0.5)
 
     def test_consistency_matches_pair_loop_across_blocks(self, monkeypatch):
         rng = np.random.default_rng(13)
         z_q = l2_normalize_rows(rng.standard_normal((23, 5)))
         z_g = l2_normalize_rows(rng.standard_normal((17, 5)))
-        truth = GroundTruth(
-            relevant=tuple(
-                frozenset(rng.choice(17, int(rng.integers(1, 18)), replace=False).tolist())
-                for _ in range(23)
-            )
+        truth = GroundTruth.from_sets(
+            frozenset(rng.choice(17, int(rng.integers(1, 18)), replace=False).tolist())
+            for _ in range(23)
         )
         want = consistency_by_pairs(z_q, z_g, truth)
-        # One block; then 4, 6 and 1 query rows per block: 6, 4 and 23 blocks.
+        # One block; then 6, 10 and 1 relevant pairs (dim 5) per block.
         for block in (1 << 20, 4 * 17, 6 * 17 + 3, 1):
             monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
             assert metric_consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
 
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
-            GroundTruth(relevant=(frozenset(),))
+            GroundTruth.from_sets((frozenset(),))
 
     def test_recall_trivial_cases(self):
-        truth = GroundTruth(relevant=(frozenset({3}), frozenset({1})))
+        truth = GroundTruth.from_sets((frozenset({3}), frozenset({1})))
         top_hit = np.array([[3, 0], [1, 2]])
         assert recall_at_k(top_hit, truth, 1) == 1.0
         miss = np.array([[0, 2], [0, 2]])
         assert recall_at_k(miss, truth, 2) == 0.0
 
     def test_recall_hand_count(self):
-        truth = GroundTruth(
-            relevant=(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
+        truth = GroundTruth.from_sets(
+            (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         )
         rankings = np.array([[0], [1], [2], [9]])
         assert recall_at_k(rankings, truth, 1) == 0.75
 
     def test_recall_missing_query(self):
-        truth = GroundTruth(relevant=(frozenset({0}), frozenset({1})))
+        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
         with pytest.raises(MissingQueryError):
             recall_at_k(np.array([[0]]), truth, 1)
 
@@ -344,11 +447,11 @@ class TestMetrics:
         rng = np.random.default_rng(12)
         z_q = l2_normalize_rows(rng.standard_normal((6, 4)))
         z_g = l2_normalize_rows(rng.standard_normal((9, 4)))
-        truth = GroundTruth(
-            relevant=tuple(frozenset({int(rng.integers(0, 9))}) for _ in range(6))
+        truth = GroundTruth.from_sets(
+            frozenset({int(rng.integers(0, 9))}) for _ in range(6)
         )
         perm = rng.permutation(6)
-        truth_p = GroundTruth(relevant=tuple(truth.relevant[i] for i in perm))
+        truth_p = GroundTruth.from_sets(tuple(truth.relevant[i] for i in perm))
         a = metric_consistency(z_q, z_g, truth)
         b = metric_consistency(z_q[perm], z_g, truth_p)
         assert a == pytest.approx(b, abs=1e-12)
