@@ -17,10 +17,10 @@ import copy
 import dataclasses
 import json
 import math
-import re
 import struct
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,6 @@ _HEADER = struct.Struct("<4sII")
 _METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, RANK_DEPTH)
 _JSON_TYPES = {"bool": bool, "int": int, "number": (int, float), "string": str, "array": list}
-# A ground-truth id as np.loadtxt reads an int64: optional whitespace and
-# sign around ASCII digits (``\s`` is str.isspace's set).
-_ID_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +98,7 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     """Parse a ``query<TAB>gallery`` file into CSR ground truth.
 
     Blank and whitespace-only lines are skipped and duplicate pairs collapse.
-    An id is an optionally signed run of ASCII digits, with optional
-    surrounding whitespace. Every rejection names the file line at fault.
+    Every rejection names the file line at fault.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -111,12 +107,16 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     # np.loadtxt reads the common, ASCII-only file fast. Given a bad field
     # holding non-ASCII text it can crash the process, so other files are read
     # line by line, as is every file it cannot take, to name the bad line.
+    # numpy 1.x reads an int field such as 1.9 through float with only a
+    # DeprecationWarning; raised as an error, it also sends the file there.
     pairs = None
     rows = list(filter(str.strip, text.splitlines())) if text.isascii() else []
     if rows:
         try:
-            pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
             pass
     limits = np.array([num_queries, gallery_size])
     if pairs is None or pairs.shape[1] != 2 or np.any((pairs < 0) | (pairs >= limits)):
@@ -140,9 +140,10 @@ def _pairs_by_line(path, text: str, num_queries: int, gallery_size: int) -> np.n
         parts = line.split("\t")
         if len(parts) != 2:
             raise BadInputError(f"{path}:{lineno}: expected two tab-separated fields")
-        if not all(_ID_FIELD.fullmatch(p) for p in parts):
-            raise BadInputError(f"{path}:{lineno}: non-integer index")
-        qi, gi = int(parts[0]), int(parts[1])
+        try:
+            qi, gi = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise BadInputError(f"{path}:{lineno}: non-integer index") from exc
         if not 0 <= qi < num_queries:
             raise BadInputError(f"{path}:{lineno}: query index {qi} out of range")
         if not 0 <= gi < gallery_size:

@@ -21,9 +21,10 @@ NORM_TOL = 1e-6
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
 
-# Most float64 scores one query x gallery pass holds at once (8 MB), so memory
-# stays flat in the number of queries.
-SCORE_BLOCK = 1 << 20
+# Most float64 scores one query x gallery pass holds at once (4 MB), so memory
+# stays flat in the number of queries. Top-k selection allocates one int64 id
+# per score on top of that.
+SCORE_BLOCK = 1 << 19
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -117,21 +118,18 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
     n = queries.shape[0]
     out = np.empty((n, k), dtype=np.int64)
-    # One score buffer per call, and top-k selection over half blocks, as
-    # argpartition returns one int64 id per score: fresh 8 MB temporaries
-    # would each fault their pages in anew.
+    # One score buffer per call: a fresh block per step would fault its pages
+    # in anew.
     buf = np.empty((min(n, max(1, SCORE_BLOCK // gallery.size)), gallery.size))
     for rows in _row_blocks(n, gallery.size):
         scores = np.matmul(queries[rows], gallery.items.T, out=buf[: rows.stop - rows.start])
-        for part in _row_blocks(scores.shape[0], gallery.size, SCORE_BLOCK // 2):
-            out[rows][part] = _topk(scores[part], k)
+        out[rows] = _topk(scores, k)
     return out
 
 
-def _row_blocks(n_rows: int, n_cols: int, block: int | None = None):
-    """Row slices of an n_rows x n_cols matrix, each within ``block`` entries
-    (SCORE_BLOCK by default) unless a single row is wider."""
-    step = max(1, (SCORE_BLOCK if block is None else block) // n_cols)
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of an n_rows x n_cols score matrix, each within SCORE_BLOCK."""
+    step = max(1, SCORE_BLOCK // n_cols)
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -144,14 +142,11 @@ def _topk(scores: np.ndarray, k: int) -> np.ndarray:
     kth = top.min(axis=1)
     # argpartition picks arbitrarily among scores equal to the k-th. Where
     # such ties reach past the cut, reselect the row from every entry scoring
-    # at least the k-th, so that the lower ids win. Each row has k such
-    # entries, so only a larger total needs the slower per-row count.
-    at_least = scores >= kth[:, None]
-    if np.count_nonzero(at_least) > k * scores.shape[0]:
-        for r in np.flatnonzero(np.count_nonzero(at_least, axis=1) > k):
-            cand = np.flatnonzero(at_least[r])
-            ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
-            top[r] = scores[r, ids[r]]
+    # at least the k-th, so that the lower ids win.
+    for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > k):
+        cand = np.flatnonzero(scores[r] >= kth[r])
+        ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
+        top[r] = scores[r, ids[r]]
     order = np.lexsort((ids, -top), axis=1)
     return np.take_along_axis(ids, order, axis=1)
 

@@ -266,14 +266,13 @@ def metric_uniformity(z: np.ndarray) -> float:
     return float(np.linalg.norm(z - center[None, :], axis=1).mean())
 
 
-def metric_gap(z_q: np.ndarray, z_g: np.ndarray) -> float:
-    """Euclidean distance between the query and gallery centers; ``z_g`` is
-    the gallery's rows or its 1-D center (``Gallery.center``)."""
+def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
+    """Euclidean distance between the query center and the gallery center
+    ``g_center`` (``Gallery.center``)."""
     z_q = np.asarray(z_q, dtype=np.float64)
-    z_g = np.asarray(z_g, dtype=np.float64)
-    if z_q.shape[1] != z_g.shape[-1]:
-        raise DimMismatchError("query and gallery batches differ in dim")
-    g_center = z_g if z_g.ndim == 1 else z_g.mean(axis=0)
+    g_center = np.asarray(g_center, dtype=np.float64)
+    if g_center.shape != z_q.shape[1:]:
+        raise DimMismatchError("gallery center must be a vector of the query dim")
     return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
 
 

@@ -206,11 +206,11 @@ class TestApplyCorruption:
 
     def test_mean_shift_widens_gap(self):
         ident = AdapterParams.identity(self.gallery.dim)
-        gap_before = metric_gap(forward_adapter(ident, self.stream), self.gallery.items)
+        gap_before = metric_gap(forward_adapter(ident, self.stream), self.gallery.center)
         shifted = apply_corruption(
             self.stream, CorruptionSpec(kind="mean_shift", delta=0.5, domain=0), 0
         )
-        gap_after = metric_gap(forward_adapter(ident, shifted), self.gallery.items)
+        gap_after = metric_gap(forward_adapter(ident, shifted), self.gallery.center)
         assert gap_after > gap_before
 
     def test_collapse_reduces_uniformity(self):
@@ -335,8 +335,8 @@ class TestProbes:
         )
         z_clean = forward_adapter(ident, stream)
         z = forward_adapter(ident, corrupted)
-        gap_clean = metric_gap(z_clean, gallery.items)
-        gap_corrupt = metric_gap(z, gallery.items)
+        gap_clean = metric_gap(z_clean, gallery.center)
+        gap_corrupt = metric_gap(z, gallery.center)
         lam_star = 1.0 - gap_clean / gap_corrupt
         gmean = gallery.items.mean(axis=0)
         r_zero = recall_at_k(rank(z, gallery), truth, 1)
@@ -364,26 +364,31 @@ class TestMetrics:
 
     def test_gap_identical_zero(self):
         z = l2_normalize_rows(np.random.default_rng(10).standard_normal((6, 4)))
-        assert metric_gap(z, z) == pytest.approx(0.0, abs=1e-12)
+        assert metric_gap(z, z.mean(axis=0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_singletons(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        assert metric_gap(a, b) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert metric_gap(a, b.mean(axis=0)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_gap_symmetric(self):
         rng = np.random.default_rng(11)
         a = l2_normalize_rows(rng.standard_normal((5, 4)))
         b = l2_normalize_rows(rng.standard_normal((7, 4)))
-        assert metric_gap(a, b) == pytest.approx(metric_gap(b, a), abs=1e-12)
+        gap_ab = metric_gap(a, b.mean(axis=0))
+        assert gap_ab == pytest.approx(metric_gap(b, a.mean(axis=0)), abs=1e-12)
 
     def test_gap_to_gallery_center_is_bit_identical(self):
         rng = np.random.default_rng(14)
         g = gallery_mod.Gallery(l2_normalize_rows(rng.standard_normal((50, 6))))
         z = l2_normalize_rows(rng.standard_normal((9, 6)))
-        assert metric_gap(z, g.center) == metric_gap(z, g.items)
+        # The old metric_gap took the gallery rows and averaged them per call.
+        old = float(np.linalg.norm(z.mean(axis=0) - g.items.mean(axis=0)))
+        assert metric_gap(z, g.center) == old
         with pytest.raises(DimMismatchError):
             metric_gap(np.ones((2, 3)), np.ones(4))
+        with pytest.raises(DimMismatchError):
+            metric_gap(np.ones((3, 3)), np.ones((3, 3)))
 
     def test_gap_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
