@@ -30,6 +30,7 @@ from .errors import BadConfigError, BadInputError, QueryShiftError
 from .gallery import Gallery, knn_table
 from .losses import gradient_check
 from .synth import (
+    CORRUPTION_FIELDS,
     CorruptionSpec,
     GroundTruth,
     SyntheticSpec,
@@ -51,6 +52,8 @@ _HEADER = struct.Struct("<4sII")
 _METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, RANK_DEPTH)
 _JSON_TYPES = {"bool": bool, "int": int, "number": (int, float), "string": str, "array": list}
+# The JSON kind of each scalar config field annotation (annotations are strings).
+_KINDS = {"bool": "bool", "int": "int", "float": "number", "str": "string"}
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,20 @@ def _pairs_by_line(path, text: str, num_queries: int, gallery_size: int) -> np.n
 # Run configuration
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True)
+class InputPaths:
+    """The ``paths`` block: gallery and query EMB1 files and a ground-truth TSV."""
+
+    gallery: str
+    queries: str
+    ground_truth: str
+
+
 @dataclasses.dataclass
 class RunConfig:
+    """The scalar fields of a run and of its blocks (``SyntheticSpec``, ``CorruptionSpec``,
+    ``InputPaths``) are the config keys, typed by ``_KINDS``, with their defaults."""
+
     method: str
     tau: float = 0.02
     k: int = 10
@@ -169,122 +184,81 @@ class RunConfig:
     synth: SyntheticSpec | None = None
     corruptions: tuple = ()
 
-
-def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise BadConfigError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise BadConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise BadConfigError(f"{where}: missing keys {sorted(missing)}")
+    def session_config(self) -> SessionConfig:
+        """The adaptation settings of this run; raises on invalid ranges."""
+        return SessionConfig(tau=self.tau, k=self.k, batch_size=self.batch, lr=self.lr,
+                             decouple=self.decouple, seed=self.seed)
 
 
 def _typed(obj: dict, key: str, default, kind: str):
-    """``obj[key]`` (or ``default``) if it has JSON type ``kind`` (a key of _JSON_TYPES)."""
+    """``obj[key]`` (or ``default``) if it has JSON type ``kind`` (a key of _JSON_TYPES);
+    a number is returned as a float."""
     value = obj.get(key, default)
     # Python's bool is an int, but JSON true/false is neither int nor number.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
         raise BadConfigError(f"{key} must be a JSON {kind}, got {value!r}")
-    # Python's json reads Infinity and NaN.
-    if isinstance(value, float) and not math.isfinite(value):
+    if kind != "number":
+        return value
+    # Python's json reads Infinity, NaN and integers too large for a float.
+    if not abs(value) <= sys.float_info.max:
         raise BadConfigError(f"{key} must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
-def _parse_corruption(obj: dict, where: str) -> CorruptionSpec:
-    allowed = {"kind", "sigma", "delta", "rho", "domain", "parts"}
-    _require_keys(obj, allowed, {"kind"}, where)
-    parts = tuple(
-        _parse_corruption(p, f"{where}.parts[{i}]")
-        for i, p in enumerate(_typed(obj, "parts", [], "array"))
-    )
+def _block(obj, cls, where: str, nested=(), **defaults):
+    """Dataclass ``cls`` built from the JSON object ``obj``, whose keys are the
+    scalar fields of ``cls`` (required if they have no default) and ``nested``.
+    ``defaults`` override declared defaults and supply the parsed nested fields."""
+    if not isinstance(obj, dict):
+        raise BadConfigError(f"{where} must be a JSON object, got {obj!r}")
+    scalars = [f for f in dataclasses.fields(cls) if f.type in _KINDS]
+    unknown = set(obj) - {f.name for f in scalars} - set(nested)
+    if unknown:
+        raise BadConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in scalars if f.default is dataclasses.MISSING and f.name not in obj]
+    if missing:
+        raise BadConfigError(f"{where}: missing keys {missing}")
+    values = dict(defaults)
+    for f in scalars:
+        values[f.name] = _typed(obj, f.name, values.get(f.name, f.default), _KINDS[f.type])
     try:
-        return CorruptionSpec(
-            kind=obj["kind"],
-            sigma=float(_typed(obj, "sigma", 0.0, "number")),
-            delta=float(_typed(obj, "delta", 0.0, "number")),
-            rho=float(_typed(obj, "rho", 0.0, "number")),
-            domain=_typed(obj, "domain", 0, "int"),
-            parts=parts,
-        )
+        return cls(**values)
     except (QueryShiftError, TypeError, ValueError) as exc:
         raise BadConfigError(f"{where}: {exc}") from exc
 
 
-def parse_config(obj: dict) -> RunConfig:
+def _parse_corruption(obj, where: str) -> CorruptionSpec:
+    # _block rejects a non-object; read no parts from one.
+    parts = _typed(obj, "parts", [], "array") if isinstance(obj, dict) else []
+    parts = tuple(_parse_corruption(p, f"{where}.parts[{i}]") for i, p in enumerate(parts))
+    return _block(obj, CorruptionSpec, where, nested=("parts",), parts=parts)
+
+
+def parse_config(obj) -> RunConfig:
     """Validate a JSON config document; unknown keys are rejected."""
-    allowed = {"method", "tau", "k", "batch", "lr", "decouple", "seed", "paths", "synth"}
-    _require_keys(obj, allowed, {"method"}, "config")
-    method = obj["method"]
-    if method not in _METHODS:
-        raise BadConfigError(f"config: method must be one of {_METHODS}, got {method!r}")
+    if not isinstance(obj, dict):
+        raise BadConfigError(f"config must be a JSON object, got {obj!r}")
     if ("paths" in obj) == ("synth" in obj):
         raise BadConfigError("config: provide exactly one of 'paths' or 'synth'")
-
-    paths = None
+    paths, synth, corruptions = None, None, ()
     if "paths" in obj:
-        _require_keys(
-            obj["paths"],
-            {"gallery", "queries", "ground_truth"},
-            {"gallery", "queries", "ground_truth"},
-            "config.paths",
-        )
-        paths = {key: _typed(obj["paths"], key, None, "string") for key in obj["paths"]}
-
-    synth = None
-    corruptions: tuple = ()
-    if "synth" in obj:
-        s = obj["synth"]
-        allowed_s = {
-            "classes",
-            "dim",
-            "gallery_size",
-            "stream_length",
-            "sigma_query",
-            "sigma_gallery",
-            "seed",
-            "corruptions",
-        }
-        required_s = {"classes", "dim", "gallery_size", "stream_length"}
-        _require_keys(s, allowed_s, required_s, "config.synth")
-        try:
-            synth = SyntheticSpec(
-                classes=_typed(s, "classes", None, "int"),
-                dim=_typed(s, "dim", None, "int"),
-                gallery_size=_typed(s, "gallery_size", None, "int"),
-                stream_length=_typed(s, "stream_length", None, "int"),
-                sigma_query=float(_typed(s, "sigma_query", 0.0, "number")),
-                sigma_gallery=float(_typed(s, "sigma_gallery", 0.0, "number")),
-                seed=_typed(s, "seed", 0, "int"),
-            )
-        except (QueryShiftError, TypeError, ValueError) as exc:
-            raise BadConfigError(f"config.synth: {exc}") from exc
+        paths = dataclasses.asdict(_block(obj["paths"], InputPaths, "config.paths"))
+    else:
+        synth = _block(obj["synth"], SyntheticSpec, "config.synth", nested=("corruptions",))
         corruptions = tuple(
             _parse_corruption(c, f"config.synth.corruptions[{i}]")
-            for i, c in enumerate(_typed(s, "corruptions", [], "array"))
+            for i, c in enumerate(_typed(obj["synth"], "corruptions", [], "array"))
         )
-
     # Unless set explicitly, decoupling follows the shift type: on for
     # diverse (per-query) corruption streams, off otherwise.
-    decouple_default = len(corruptions) > 1
+    cfg = _block(obj, RunConfig, "config", nested=("paths", "synth"), paths=paths, synth=synth,
+                 corruptions=corruptions, decouple=len(corruptions) > 1)
+    if cfg.method not in _METHODS:
+        raise BadConfigError(f"config: method must be one of {_METHODS}, got {cfg.method!r}")
     try:
-        cfg = RunConfig(
-            method=method,
-            tau=float(_typed(obj, "tau", 0.02, "number")),
-            k=_typed(obj, "k", 10, "int"),
-            batch=_typed(obj, "batch", 64, "int"),
-            lr=float(_typed(obj, "lr", 1e-3, "number")),
-            decouple=_typed(obj, "decouple", decouple_default, "bool"),
-            seed=_typed(obj, "seed", 0, "int"),
-            paths=paths,
-            synth=synth,
-            corruptions=corruptions,
-        )
         # Surface invalid numeric ranges now rather than mid-run.
-        SessionConfig(tau=cfg.tau, k=cfg.k, batch_size=cfg.batch, lr=cfg.lr)
-    except (QueryShiftError, TypeError, ValueError) as exc:
+        cfg.session_config()
+    except QueryShiftError as exc:
         raise BadConfigError(f"config: {exc}") from exc
     return cfg
 
@@ -296,48 +270,32 @@ def load_config(path) -> RunConfig:
         raise BadConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer with more digits than int() takes
         raise BadConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(obj)
 
 
+def _echo(spec) -> dict:
+    """The scalar fields of a config dataclass, as reports echo them."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec) if f.type in _KINDS}
+
+
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "method": cfg.method,
-        "tau": cfg.tau,
-        "k": cfg.k,
-        "batch": cfg.batch,
-        "lr": cfg.lr,
-        "decouple": cfg.decouple,
-        "seed": cfg.seed,
-    }
+    echo = _echo(cfg)
     if cfg.paths is not None:
         echo["paths"] = dict(cfg.paths)
     if cfg.synth is not None:
-        echo["synth"] = {
-            "classes": cfg.synth.classes,
-            "dim": cfg.synth.dim,
-            "gallery_size": cfg.synth.gallery_size,
-            "stream_length": cfg.synth.stream_length,
-            "sigma_query": cfg.synth.sigma_query,
-            "sigma_gallery": cfg.synth.sigma_gallery,
-            "seed": cfg.synth.seed,
-            "corruptions": [_corruption_echo(c) for c in cfg.corruptions],
-        }
+        echo["synth"] = _echo(cfg.synth)
+        echo["synth"]["corruptions"] = [_corruption_echo(c) for c in cfg.corruptions]
     return echo
 
 
 def _corruption_echo(c: CorruptionSpec) -> dict:
+    """The kind and the fields it reads (``CORRUPTION_FIELDS``)."""
     out = {"kind": c.kind}
-    if c.kind == "gaussian_noise":
-        out["sigma"] = c.sigma
-    elif c.kind == "mean_shift":
-        out["delta"] = c.delta
-        out["domain"] = c.domain
-    elif c.kind == "uniformity_collapse":
-        out["rho"] = c.rho
-    else:
-        out["parts"] = [_corruption_echo(p) for p in c.parts]
+    for name in CORRUPTION_FIELDS[c.kind]:
+        value = getattr(c, name)
+        out[name] = [_corruption_echo(p) for p in value] if name == "parts" else value
     return out
 
 
@@ -405,17 +363,7 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything."""
     started = time.monotonic()
     gallery, stream, truth = _load_inputs(cfg)
-    session = AdaptationSession(
-        gallery,
-        SessionConfig(
-            tau=cfg.tau,
-            k=cfg.k,
-            batch_size=cfg.batch,
-            lr=cfg.lr,
-            decouple=cfg.decouple,
-            seed=cfg.seed,
-        ),
-    )
+    session = AdaptationSession(gallery, cfg.session_config())
 
     z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
     initial = _stream_metrics(z0, gallery, truth)
@@ -497,13 +445,12 @@ def cmd_metrics(cfg: RunConfig) -> dict:
     started = time.monotonic()
     gallery, stream, truth = _load_inputs(cfg)
     z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-    report = {
+    return {
         "schema": 1,
         "config": _config_echo(cfg),
         "metrics": _stream_metrics(z0, gallery, truth),
         "wall_clock_seconds": time.monotonic() - started,
     }
-    return report
 
 
 def cmd_gradcheck(seed: int, perturb: float = 0.0) -> dict:

@@ -25,7 +25,13 @@ from .errors import (
 from .gallery import Gallery, _row_blocks
 from .vectors import l2_normalize_rows
 
-_CORRUPTION_KINDS = ("gaussian_noise", "mean_shift", "uniformity_collapse", "compose")
+# Each corruption kind and the CorruptionSpec fields it reads.
+CORRUPTION_FIELDS = {
+    "gaussian_noise": ("sigma",),
+    "mean_shift": ("delta", "domain"),
+    "uniformity_collapse": ("rho",),
+    "compose": ("parts",),
+}
 
 # Fixed tag mixed into the per-domain shift-direction seed.
 _DIRECTION_TAG = 0x5D1F7
@@ -58,11 +64,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """One corruption of the raw query stream.
-
-    kinds: gaussian_noise(sigma), mean_shift(delta, domain),
-    uniformity_collapse(rho), compose(parts).
-    """
+    """One corruption of the raw query stream; ``CORRUPTION_FIELDS`` names
+    the kinds and the fields each reads."""
 
     kind: str
     sigma: float = 0.0
@@ -72,7 +75,7 @@ class CorruptionSpec:
     parts: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in _CORRUPTION_KINDS:
+        if self.kind not in CORRUPTION_FIELDS:
             raise InvalidSpecError(f"unknown corruption kind {self.kind!r}")
         if self.sigma < 0:
             raise InvalidSpecError("sigma must be non-negative")
@@ -132,7 +135,11 @@ class GroundTruth:
             raise ValueError("ground truth slices must be contiguous")
         stop = max(start, stop)
         lo, hi = self.indptr[start], self.indptr[stop]
-        return GroundTruth(indptr=self.indptr[start : stop + 1] - lo, indices=self.indices[lo:hi])
+        # Rows of valid truth are valid: skip the checks of __post_init__.
+        part = object.__new__(GroundTruth)
+        object.__setattr__(part, "indptr", _frozen_ids(self.indptr[start : stop + 1] - lo))
+        object.__setattr__(part, "indices", self.indices[lo:hi])
+        return part
 
     @functools.cached_property
     def relevant(self) -> tuple:

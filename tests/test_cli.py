@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import struct
@@ -11,6 +12,7 @@ import pytest
 
 from queryshift import adapt, cli
 from queryshift.cli import (
+    _config_echo,
     _stream_metrics,
     cmd_adapt,
     cmd_gradcheck,
@@ -26,7 +28,7 @@ from queryshift.cli import (
 )
 from queryshift.errors import BadConfigError, BadInputError
 from queryshift.gallery import Gallery
-from queryshift.synth import GroundTruth
+from queryshift.synth import CORRUPTION_FIELDS, CorruptionSpec, GroundTruth, SyntheticSpec
 from queryshift.vectors import l2_normalize_rows
 
 BASE_SYNTH = {
@@ -375,6 +377,97 @@ class TestConfigParsing:
         diverse["decouple"] = False
         assert parse_config(diverse).decouple is False
 
+    def test_echo_shapes(self):
+        # Shapes the golden reports never hold: a paths block, a nested
+        # compose, and kinds given keys they do not read (accepted, not echoed).
+        run = {"method": "none", "tau": 0.02, "k": 10, "batch": 64, "lr": 0.001, "seed": 0}
+        paths = {"gallery": "g.emb1", "queries": "q.emb1", "ground_truth": "t.tsv"}
+        echo = _config_echo(parse_config({"method": "none", "paths": dict(paths)}))
+        assert echo == {**run, "decouple": False, "paths": paths}
+
+        synth = {"classes": 8, "dim": 12, "gallery_size": 64, "stream_length": 48}
+        compose = {
+            "kind": "compose",
+            "sigma": 0.3,
+            "parts": [
+                {"kind": "mean_shift", "delta": 0.5},
+                {"kind": "compose", "parts": [{"kind": "uniformity_collapse", "rho": 0.5}]},
+            ],
+        }
+        cfg = parse_config({"method": "none", "synth": {**synth, "corruptions": [compose]}})
+        assert _config_echo(cfg) == {
+            **run,
+            "decouple": False,
+            "synth": {
+                **synth,
+                "sigma_query": 0.0,
+                "sigma_gallery": 0.0,
+                "seed": 0,
+                "corruptions": [
+                    {
+                        "kind": "compose",
+                        "parts": [
+                            {"kind": "mean_shift", "delta": 0.5, "domain": 0},
+                            {
+                                "kind": "compose",
+                                "parts": [{"kind": "uniformity_collapse", "rho": 0.5}],
+                            },
+                        ],
+                    }
+                ],
+            },
+        }
+
+        unread = [
+            {"kind": "mean_shift", "delta": 1, "domain": 2, "sigma": 0.4, "rho": 0.2},
+            {"kind": "gaussian_noise", "rho": 0.5, "domain": 3},
+            {"kind": "uniformity_collapse", "delta": 0.7, "parts": [{"kind": "mean_shift"}]},
+        ]
+        cfg = parse_config({"method": "rest", "synth": {**synth, "seed": 4, "corruptions": unread}})
+        assert cfg.corruptions[0].sigma == 0.4
+        assert _config_echo(cfg) == {
+            **run,
+            "method": "rest",
+            "decouple": True,
+            "synth": {
+                **synth,
+                "sigma_query": 0.0,
+                "sigma_gallery": 0.0,
+                "seed": 4,
+                "corruptions": [
+                    {"kind": "mean_shift", "delta": 1.0, "domain": 2},
+                    {"kind": "gaussian_noise", "sigma": 0.0},
+                    {"kind": "uniformity_collapse", "rho": 0.0},
+                ],
+            },
+        }
+
+
+def unsettable_fields(cls) -> list:
+    """Fields of ``cls`` that are neither a scalar JSON kind nor a nested block."""
+    nested = {"paths", "synth", "corruptions", "parts"}
+    fields = dataclasses.fields(cls)
+    return [f.name for f in fields if f.type not in cli._KINDS and f.name not in nested]
+
+
+class TestConfigSchema:
+    def test_every_field_is_a_json_kind_or_a_nested_block(self):
+        assert set(cli._KINDS.values()) <= set(cli._JSON_TYPES)
+        for cls in (cli.RunConfig, cli.InputPaths, SyntheticSpec, CorruptionSpec):
+            assert unsettable_fields(cls) == [], cls.__name__
+
+        @dataclasses.dataclass
+        class Extended:
+            known: "float" = 0.0
+            optional: "float | None" = None
+
+        assert unsettable_fields(Extended) == ["optional"]
+
+    def test_corruption_fields_name_real_fields(self):
+        names = {f.name for f in dataclasses.fields(CorruptionSpec)} - {"kind"}
+        for kind, fields in CORRUPTION_FIELDS.items():
+            assert fields and set(fields) <= names, kind
+
 
 class TestCmdSynth:
     def test_writes_four_loadable_files(self, tmp_path):
@@ -588,9 +681,20 @@ class TestMainEntry:
             config_dict(tau=math.inf),
             synth_config_dict(sigma_query=math.nan),
             corruption_config_dict(delta=math.inf),
+            config_dict(lr=10**400),
+            5,
+            None,
+            [],
+            "x",
         ):
             cfg_path.write_text(json.dumps(bad), encoding="utf-8")
             assert main(["--config", str(cfg_path), "adapt"]) == 2
+
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps(config_dict()).replace('"k": 5', '"k": ' + "1" * 5000)
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt"]) == 2
 
     def test_probe_bad_lambdas_exit_two(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

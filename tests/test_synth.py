@@ -167,6 +167,20 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             truth[::2]
 
+    def test_slices_stay_read_only_and_equal_rebuilt_truth(self):
+        rng = np.random.default_rng(23)
+        relevant = random_relevant(rng, 9, 15)
+        truth = GroundTruth.from_sets(relevant)
+        for a, b in [(0, 9), (2, 7), (8, 9), (4, 4), (9, 9), (3, 1)]:
+            part = truth[a:b]
+            rebuilt = GroundTruth.from_sets(relevant[a:b])
+            for got, want in [(part.indptr, rebuilt.indptr), (part.indices, rebuilt.indices)]:
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert got.tolist() == want.tolist()
+            # indptr is a copy; indices are a view of the parent's.
+            assert not np.shares_memory(part.indptr, truth.indptr)
+            assert part.indices.size == 0 or np.shares_memory(part.indices, truth.indices)
+
     def test_generated_rows_are_whole_classes(self):
         spec = SyntheticSpec(classes=5, dim=8, gallery_size=23, stream_length=40, seed=4)
         _, _, truth = generate_benchmark(spec)
