@@ -111,6 +111,8 @@ class SessionConfig:
             raise InvalidSpecError(f"batch size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidSpecError(f"learning rate must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -143,7 +145,7 @@ class BatchResult:
 
 def forward_adapter(params: AdapterParams, raw: np.ndarray) -> np.ndarray:
     """Adapted, unit-normalized query embeddings for a batch of raw vectors."""
-    _, _, z = affine_normalize(params.gamma, params.beta, raw)
+    _, z = affine_normalize(params.gamma, params.beta, raw)
     return z
 
 
@@ -151,9 +153,12 @@ def kl_general(state: ForwardState, src_probs: np.ndarray) -> GeneralDirection:
     """General direction: KL of current predictions from frozen source ones.
 
     ``src_probs`` must share the state's padded (b, m_max) candidate supports.
+    A KL of exactly 0 means the predictions coincide, the KL's minimum, where
+    the direction is exactly zero (the computed gradient would be roundoff).
     """
     val, dz = _kl_grad(state, src_probs)
-    return GeneralDirection(grad=param_grad(state, dz).flat(), kl_value=val)
+    grad = param_grad(state, dz).flat() if val != 0.0 else np.zeros(2 * state.dim)
+    return GeneralDirection(grad=grad, kl_value=val)
 
 
 def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
@@ -218,6 +223,10 @@ class AdaptationSession:
     parameters (and queue) exactly as they were before the call. The gallery
     centroids are built by the first batch that builds candidates, so a
     ``none`` run never runs k-means; ``centroids`` passed in are used as given.
+
+    At the source point (parameters bit for bit the source ones, as on the first
+    batch) the source predictions are the current ones: one forward pass runs,
+    and the KL and the general direction of ``rest`` are exactly zero.
     """
 
     def __init__(
@@ -271,12 +280,12 @@ class AdaptationSession:
             cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
             state = forward_state(params.gamma, params.beta, raw, cands, self.config.tau)
             if method == "rest":
-                grad, breakdown, queue = self._rest_gradient(raw, state, cands, diagnostics)
+                grad, breakdown, queue = self._rest_gradient(state, cands, diagnostics)
             else:
                 if method == "tent":
                     val, dz = _em_grad(state)
                 else:
-                    val, dz = _pl_grad(state, np.argmax(self._source_probs(raw, cands), axis=1))
+                    val, dz = _pl_grad(state, np.argmax(self._source_probs(state, cands), axis=1))
                 grad = param_grad(state, dz).flat()
                 diagnostics.objective = val
             params = sgd_step(params, grad, self.config.lr)
@@ -290,14 +299,15 @@ class AdaptationSession:
         self.step += 1
         return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
 
-    def _source_probs(self, raw: np.ndarray, cands: CandidateBatch) -> np.ndarray:
+    def _source_probs(self, state: ForwardState, cands: CandidateBatch) -> np.ndarray:
         """Source-parameter predictions on the current candidate supports."""
         src = self.source_params
-        return forward_state(src.gamma, src.beta, raw, cands, self.config.tau).probs
+        if np.array_equal(state.gamma, src.gamma) and np.array_equal(state.beta, src.beta):
+            return state.probs
+        return forward_state(src.gamma, src.beta, state.raw, cands, self.config.tau).probs
 
     def _rest_gradient(
         self,
-        raw: np.ndarray,
         state: ForwardState,
         cands: CandidateBatch,
         diagnostics: BatchDiagnostics,
@@ -310,7 +320,7 @@ class AdaptationSession:
 
         breakdown, grad = total_loss_and_grad(state, constraints)
         g_d = grad.flat()
-        general = kl_general(state, self._source_probs(raw, cands))
+        general = kl_general(state, self._source_probs(state, cands))
         dec = decouple(g_d, general.grad, general.kl_value)
 
         diagnostics.objective = breakdown.l_total

@@ -502,6 +502,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise BadConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "gradcheck":
             seed = args.seed if args.seed is not None else 0
             report = cmd_gradcheck(seed)

@@ -69,7 +69,6 @@ class ForwardState:
     raw: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    pre_norm: np.ndarray
     norms: np.ndarray
     z: np.ndarray
     cand_embs: np.ndarray
@@ -91,7 +90,7 @@ class ForwardState:
 def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
     """Apply the affine head and unit-normalize rows.
 
-    Returns (pre_norm, norms, z). Raises ZeroVectorError if any adapted row
+    Returns (norms, z). Raises ZeroVectorError if any adapted row
     vanishes and DivergenceError if any row norm is not finite (the adapter
     has blown up, and dividing by the norm would give zero rows).
     """
@@ -106,21 +105,7 @@ def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
         raise DivergenceError("adapter output row has a non-finite norm")
     if np.any(norms <= EPS_NORM):
         raise ZeroVectorError("adapter output row has near-zero norm")
-    return pre, norms, pre / norms[:, None]
-
-
-def _size_groups(mask: np.ndarray):
-    """(rows, m) for every candidate count m in the batch.
-
-    Scores, softmax normalizers and KL live-mass sums run per group on
-    unpadded (rows, m) blocks, so every row is reduced in the order of its
-    own list. At the first step current and source predictions coincide and
-    the KL gradient is roundoff alone, so it moves with that order. A
-    query's count varies only with the ids it alone retrieves (at most k)
-    and with centroid collisions, so the groups do not grow with the batch.
-    """
-    sizes = np.count_nonzero(mask, axis=1)
-    return [(np.flatnonzero(sizes == m), m) for m in np.unique(sizes)]
+    return norms, pre / norms[:, None]
 
 
 def _padded(cand_embs: CandidateBatch | list):
@@ -144,22 +129,19 @@ def forward_state(
     """Run the batch forward pass against frozen candidate embeddings.
 
     ``cand_embs`` is a ``CandidateBatch`` or one (m_i, d) array per query.
+    All rows are scored by one matmul over the padded (b, m_max, d) tensor
+    and one softmax over rows whose padded slots score -inf.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    pre, norms, z = affine_normalize(gamma, beta, raw)
+    norms, z = affine_normalize(gamma, beta, raw)
     embs, mask = _padded(cand_embs)
-    scores = np.full(mask.shape, -np.inf)
-    probs = np.zeros(mask.shape)
-    for rows, m in _size_groups(mask):
-        s = np.matmul(embs[rows, :m], z[rows, :, None])[:, :, 0]
-        scores[rows, :m] = s
-        probs[rows, :m] = softmax_temp(s, tau)
+    scores = np.where(mask, np.matmul(embs, z[:, :, None])[:, :, 0], -np.inf)
+    probs = softmax_temp(scores, tau)
     return ForwardState(
         raw=np.asarray(raw, dtype=np.float64),
         gamma=gamma,
         beta=beta,
-        pre_norm=pre,
         norms=norms,
         z=z,
         cand_embs=embs,
@@ -277,7 +259,10 @@ def _em_grad(state: ForwardState):
 
 
 def _kl_grad(state: ForwardState, src_probs: np.ndarray):
-    """Mean KL from frozen source predictions to current ones, with gradient."""
+    """Mean KL from frozen source predictions to current ones, with gradient.
+
+    Where the predictions coincide the KL is exactly 0 and the gradient roundoff.
+    """
     q = np.asarray(src_probs, dtype=np.float64)
     p = state.probs
     if q.shape != p.shape or np.any(q[~state.mask] != 0.0):
@@ -287,9 +272,8 @@ def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     b = state.batch_size
     val = float((q * (clamped_log(q) - clamped_log(p))).sum()) / b
     live = (p > EPS_PROB).astype(np.float64)
-    s_live = np.zeros((b, 1))
-    for rows, m in _size_groups(state.mask):
-        s_live[rows] = np.matmul(q[rows, None, :m], live[rows, :m, None])[:, 0]
+    # Source mass on the live slots; padded slots hold none (checked above).
+    s_live = (q * live).sum(axis=1, keepdims=True)
     ds = (p * s_live - q * live) / (b * state.tau)
     return val, _dz_from_score_grads(state, ds)
 
@@ -382,7 +366,7 @@ def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float)
     gamma = 1.0 + 0.1 * rng.standard_normal(dim)
     beta = 0.1 * rng.standard_normal(dim)
 
-    _, _, z = affine_normalize(gamma, beta, raw)
+    _, z = affine_normalize(gamma, beta, raw)
     cands = build_candidate_sets(z, gallery, cents, k_eff)
     state = forward_state(gamma, beta, raw, cands, tau)
     src_state = forward_state(np.ones(dim), np.zeros(dim), raw, cands, tau)

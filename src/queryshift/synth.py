@@ -60,6 +60,8 @@ class SyntheticSpec:
             raise InvalidSpecError("stream must hold at least one query")
         if self.sigma_query < 0 or self.sigma_gallery < 0:
             raise InvalidSpecError("noise levels must be non-negative")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class CorruptionSpec:
             raise InvalidSpecError("sigma must be non-negative")
         if not 0.0 <= self.rho < 1.0:
             raise InvalidSpecError("rho must lie in [0, 1)")
+        if self.domain < 0:
+            raise InvalidSpecError(f"domain must be non-negative, got {self.domain}")
         if self.kind == "compose" and len(self.parts) == 0:
             raise InvalidSpecError("compose needs a non-empty part list")
 
@@ -221,11 +225,10 @@ def corrupt_stream(stream: np.ndarray, specs, seed: int) -> np.ndarray:
     choice = rng.integers(0, len(specs), stream.shape[0])
     # Corrupt the full stream under each domain, then pick rows; collapse
     # needs the whole-stream center and each domain keeps its own noise draw.
-    variants = [_apply(stream, s, np.random.default_rng([seed, d])) for d, s in enumerate(specs)]
-    out = np.empty_like(stream)
-    for i, d in enumerate(choice):
-        out[i] = variants[int(d)][i]
-    return out
+    variants = np.stack(
+        [_apply(stream, s, np.random.default_rng([seed, d])) for d, s in enumerate(specs)]
+    )
+    return variants[choice, np.arange(stream.shape[0])]
 
 
 def scale_queries(z: np.ndarray, lam_scale: float) -> np.ndarray:

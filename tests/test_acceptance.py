@@ -149,7 +149,7 @@ def test_criterion_7_fully_filtered_batch_is_inert():
     params = AdapterParams.identity(dim)
     from queryshift.losses import affine_normalize
 
-    _, _, z = affine_normalize(params.gamma, params.beta, raw)
+    _, z = affine_normalize(params.gamma, params.beta, raw)
     cands = build_candidate_sets(z, gallery, cents, 4)
     state = forward_state(
         params.gamma, params.beta, raw, [c.candidate_embeddings for c in cands], 0.02

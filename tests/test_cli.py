@@ -528,8 +528,9 @@ class TestCmdAdapt:
     def test_rest_first_step_source_coincidence(self):
         cfg = parse_config(config_dict(method="rest", decouple=True))
         report = cmd_adapt(cfg)
-        assert report["series"]["d_kl"][0] == pytest.approx(0.0, abs=1e-12)
+        assert report["series"]["d_kl"][0] == 0.0
         assert report["series"]["w_d"][0] == 1.0
+        assert report["series"]["angle_deg"][0] is None
 
     def test_deterministic_reports(self):
         cfg = config_dict(method="rest", decouple=True)
@@ -682,6 +683,9 @@ class TestMainEntry:
             synth_config_dict(sigma_query=math.nan),
             corruption_config_dict(delta=math.inf),
             config_dict(lr=10**400),
+            config_dict(seed=-3),
+            synth_config_dict(seed=-1),
+            corruption_config_dict(domain=-1),
             5,
             None,
             [],
@@ -689,6 +693,31 @@ class TestMainEntry:
         ):
             cfg_path.write_text(json.dumps(bad), encoding="utf-8")
             assert main(["--config", str(cfg_path), "adapt"]) == 2
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (config_dict(method="rest", seed=-3), "config: seed must be non-negative"),
+            (synth_config_dict(seed=-1), "config.synth: seed must be non-negative"),
+            (corruption_config_dict(domain=-1), "domain must be non-negative"),
+        ],
+    )
+    def test_negative_seed_in_config_names_the_key(self, tmp_path, capsys, bad, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_two(self, tmp_path, capsys):
+        # --seed replaces the parsed config's seed, so it is checked on its own.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict(method="rest")), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt", "--seed", "-2"]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+
+    def test_negative_gradcheck_seed_exit_two(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
     def test_integer_past_the_digit_limit_exits_two(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -42,7 +42,7 @@ def make_instance(seed=0, b=6, d=8, n=40, k=3, tau=0.5):
     beta = 0.1 * rng.standard_normal(d)
     from queryshift.losses import affine_normalize
 
-    _, _, z = affine_normalize(gamma, beta, raw)
+    _, z = affine_normalize(gamma, beta, raw)
     cands = build_candidate_sets(z, gallery, cents, k)
     cand_embs = [c.candidate_embeddings for c in cands]
     state = forward_state(gamma, beta, raw, cand_embs, tau)
@@ -296,7 +296,7 @@ class TestTotalLossAndGrad:
         from queryshift.losses import affine_normalize
 
         gamma, beta = np.ones(d), np.zeros(d)
-        _, _, z = affine_normalize(gamma, beta, raw)
+        _, z = affine_normalize(gamma, beta, raw)
         cands = build_candidate_sets(z, gallery, cents, 3)
         state = forward_state(gamma, beta, raw, [c.candidate_embeddings for c in cands], 0.5)
         delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
@@ -355,14 +355,14 @@ class TestTotalLossAndGrad:
         from queryshift.losses import affine_normalize
         from queryshift.synth import metric_uniformity
 
-        _, _, z = affine_normalize(gamma, beta, raw)
+        _, z = affine_normalize(gamma, beta, raw)
         state = forward_state(gamma, beta, raw, [z[:1], z[1:]], 0.5)
         val, dz = _uniformity_grad(state.z)
         g = param_grad(state, dz)
         before = metric_uniformity(state.z)
         gamma2 = gamma - 0.05 * g.d_gamma
         beta2 = beta - 0.05 * g.d_beta
-        _, _, z2 = affine_normalize(gamma2, beta2, raw)
+        _, z2 = affine_normalize(gamma2, beta2, raw)
         assert metric_uniformity(z2) > before
 
     def test_all_filtered_no_numerical_faults(self):
@@ -471,13 +471,15 @@ class TestPaddedBatch:
         assert np.all(state.scores[~state.mask] == -np.inf)
         np.testing.assert_allclose(state.probs.sum(axis=1), 1.0, rtol=1e-12)
 
-    def test_rows_equal_their_unpadded_forward_pass(self):
+    def test_rows_match_their_unpadded_forward_pass(self):
+        # One padded pass reduces each row over m_max slots; against the
+        # row's own unpadded pass that moves only the last bits.
         state, raw, cand_embs = ragged_instance()
         for i, c in enumerate(cand_embs):
             alone = forward_state(state.gamma, state.beta, raw[i : i + 1], [c], state.tau)
             m = c.shape[0]
-            assert np.array_equal(state.scores[i, :m], alone.scores[0])
-            assert np.array_equal(state.probs[i, :m], alone.probs[0])
+            np.testing.assert_allclose(state.scores[i, :m], alone.scores[0], rtol=1e-12)
+            np.testing.assert_allclose(state.probs[i, :m], alone.probs[0], rtol=1e-12)
             assert state.entropies[i] == pytest.approx(alone.entropies[0], rel=1e-13)
 
     def test_padded_slot_never_hard_negative(self):

@@ -15,6 +15,7 @@ from queryshift.synth import (
     CorruptionSpec,
     GroundTruth,
     SyntheticSpec,
+    _apply,
     apply_corruption,
     corrupt_stream,
     count_hits,
@@ -277,6 +278,10 @@ class TestApplyCorruption:
         for i, d in enumerate(choice):
             if int(d) == 0:
                 np.testing.assert_allclose(a[i], direct0[i], atol=1e-12)
+        # Every row is its domain's whole-stream variant, bit for bit.
+        for d, spec in enumerate(specs):
+            variant = _apply(self.stream, spec, np.random.default_rng([11, d]))
+            assert np.array_equal(a[choice == d], variant[choice == d])
 
     def test_empty_corruption_list_is_identity(self):
         out = corrupt_stream(self.stream, [], 0)
