@@ -4,18 +4,16 @@ from .adapt import (
     AdaptationSession,
     AdapterParams,
     DecoupledGradient,
-    GeneralDirection,
     SessionConfig,
     decouple,
     forward_adapter,
     kl_general,
     sgd_step,
 )
-from .gallery import CentroidSet, Gallery, NeighborList, build_centroids, knn
+from .gallery import CentroidSet, Gallery, build_centroids, knn_table
 from .losses import (
     ForwardState,
     LossBreakdown,
-    ParamGradient,
     finite_diff_grad,
     forward_state,
     gradient_check,

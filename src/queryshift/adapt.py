@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimMismatchError,
     DivergenceError,
     InvalidKError,
     InvalidSpecError,
-    LengthMismatchError,
     UnknownBaselineError,
 )
 from .gallery import CentroidSet, Gallery, build_centroids, knn_table
@@ -76,14 +76,6 @@ class AdapterParams:
 
 
 @dataclass(frozen=True)
-class GeneralDirection:
-    """Gradient of the source-vs-current KL divergence, plus its value."""
-
-    grad: np.ndarray
-    kl_value: float
-
-
-@dataclass(frozen=True)
 class DecoupledGradient:
     """Split of the task gradient against the general direction."""
 
@@ -97,7 +89,7 @@ class DecoupledGradient:
 class SessionConfig:
     tau: float = 0.02
     k: int = 10
-    batch_size: int = 64
+    batch: int = 64
     lr: float = 1e-3
     decouple: bool = False
     seed: int = 0
@@ -107,8 +99,8 @@ class SessionConfig:
             raise InvalidSpecError(f"tau must be finite and > 0, got {self.tau}")
         if self.k < 1:
             raise InvalidSpecError(f"k must be >= 1, got {self.k}")
-        if self.batch_size < 1:
-            raise InvalidSpecError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.batch < 1:
+            raise InvalidSpecError(f"batch size must be >= 1, got {self.batch}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidSpecError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.seed < 0:
@@ -149,16 +141,16 @@ def forward_adapter(params: AdapterParams, raw: np.ndarray) -> np.ndarray:
     return z
 
 
-def kl_general(state: ForwardState, src_probs: np.ndarray) -> GeneralDirection:
-    """General direction: KL of current predictions from frozen source ones.
+def kl_general(state: ForwardState, src_probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """General direction: (KL of current predictions from frozen source ones,
+    its flat parameter gradient).
 
     ``src_probs`` must share the state's padded (b, m_max) candidate supports.
     A KL of exactly 0 means the predictions coincide, the KL's minimum, where
     the direction is exactly zero (the computed gradient would be roundoff).
     """
     val, dz = _kl_grad(state, src_probs)
-    grad = param_grad(state, dz).flat() if val != 0.0 else np.zeros(2 * state.dim)
-    return GeneralDirection(grad=grad, kl_value=val)
+    return val, (param_grad(state, dz) if val != 0.0 else np.zeros(2 * state.dim))
 
 
 def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
@@ -171,7 +163,7 @@ def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
     g_d = np.asarray(g_d, dtype=np.float64)
     g_r = np.asarray(g_r, dtype=np.float64)
     if g_d.shape != g_r.shape:
-        raise LengthMismatchError(f"gradient shapes differ: {g_d.shape} vs {g_r.shape}")
+        raise DimMismatchError(f"gradient shapes differ: {g_d.shape} vs {g_r.shape}")
     w_d = float(np.exp(-max(kl, 0.0)))
     denom = float(np.dot(g_r, g_r))
     if denom < 1e-24:
@@ -196,7 +188,7 @@ def sgd_step(params: AdapterParams, grad: np.ndarray, lr: float) -> AdapterParam
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.size != 2 * params.dim:
-        raise LengthMismatchError(
+        raise DimMismatchError(
             f"gradient length {grad.size} does not match 2*dim={2 * params.dim}"
         )
     # An overflow is caught by the finiteness check below.
@@ -245,7 +237,7 @@ class AdaptationSession:
             self.centroids = centroids
         self.params = AdapterParams.identity(gallery.dim)
         self.source_params = AdapterParams.identity(gallery.dim)
-        self.queue = SourceLikeQueue.empty(config.batch_size, gallery.dim)
+        self.queue = SourceLikeQueue.empty(config.batch, gallery.dim)
         self.step = 0
 
     @functools.cached_property
@@ -286,7 +278,7 @@ class AdaptationSession:
                     val, dz = _em_grad(state)
                 else:
                     val, dz = _pl_grad(state, np.argmax(self._source_probs(state, cands), axis=1))
-                grad = param_grad(state, dz).flat()
+                grad = param_grad(state, dz)
                 diagnostics.objective = val
             params = sgd_step(params, grad, self.config.lr)
 
@@ -318,15 +310,14 @@ class AdaptationSession:
         queue = update_queue(self.queue, state.z, positives, scores, state.entropies)
         constraints = estimate_constraints(queue)
 
-        breakdown, grad = total_loss_and_grad(state, constraints)
-        g_d = grad.flat()
-        general = kl_general(state, self._source_probs(state, cands))
-        dec = decouple(g_d, general.grad, general.kl_value)
+        breakdown, g_d = total_loss_and_grad(state, constraints)
+        kl, g_r = kl_general(state, self._source_probs(state, cands))
+        dec = decouple(g_d, g_r, kl)
 
         diagnostics.objective = breakdown.l_total
-        diagnostics.d_kl = general.kl_value
+        diagnostics.d_kl = kl
         diagnostics.w_d = dec.w_d
-        diagnostics.angle_deg = _angle_degrees(g_d, general.grad)
+        diagnostics.angle_deg = _angle_degrees(g_d, g_r)
         diagnostics.active_count = breakdown.active_count
         diagnostics.delta_s = constraints.gap_source
         diagnostics.e_b = constraints.entropy_threshold

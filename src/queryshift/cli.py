@@ -168,26 +168,16 @@ class InputPaths:
     ground_truth: str
 
 
-@dataclasses.dataclass
-class RunConfig:
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class RunConfig(SessionConfig):
     """The scalar fields of a run and of its blocks (``SyntheticSpec``, ``CorruptionSpec``,
-    ``InputPaths``) are the config keys, typed by ``_KINDS``, with their defaults."""
+    ``InputPaths``) are the config keys, typed by ``_KINDS``, with their defaults.
+    The session keys and their defaults and ranges are those of ``SessionConfig``."""
 
     method: str
-    tau: float = 0.02
-    k: int = 10
-    batch: int = 64
-    lr: float = 1e-3
-    decouple: bool = False
-    seed: int = 0
     paths: dict | None = None
     synth: SyntheticSpec | None = None
     corruptions: tuple = ()
-
-    def session_config(self) -> SessionConfig:
-        """The adaptation settings of this run; raises on invalid ranges."""
-        return SessionConfig(tau=self.tau, k=self.k, batch_size=self.batch, lr=self.lr,
-                             decouple=self.decouple, seed=self.seed)
 
 
 def _typed(obj: dict, key: str, default, kind: str):
@@ -255,11 +245,6 @@ def parse_config(obj) -> RunConfig:
                  corruptions=corruptions, decouple=len(corruptions) > 1)
     if cfg.method not in _METHODS:
         raise BadConfigError(f"config: method must be one of {_METHODS}, got {cfg.method!r}")
-    try:
-        # Surface invalid numeric ranges now rather than mid-run.
-        cfg.session_config()
-    except QueryShiftError as exc:
-        raise BadConfigError(f"config: {exc}") from exc
     return cfg
 
 
@@ -306,8 +291,14 @@ def _corruption_echo(c: CorruptionSpec) -> dict:
 def _load_inputs(cfg: RunConfig):
     """Gallery, raw query stream, and ground truth from files or the synth block."""
     if cfg.synth is not None:
-        gallery, stream, truth = generate_benchmark(cfg.synth)
-        stream = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
+        # Values too large for float64 overflow; the row-norm checks catch them.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gallery, stream, truth = generate_benchmark(cfg.synth)
+                stream = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
+                l2_normalize_rows(stream)
+        except (QueryShiftError, ValueError) as exc:
+            raise BadConfigError(f"config.synth: {exc}") from exc
         return gallery, stream, truth
     g_arr = read_embeddings(cfg.paths["gallery"])
     stream = read_embeddings(cfg.paths["queries"])
@@ -316,7 +307,7 @@ def _load_inputs(cfg: RunConfig):
     # float32 storage perturbs unit norms; re-normalize in float64.
     try:
         gallery = Gallery(l2_normalize_rows(g_arr))
-    except QueryShiftError as exc:
+    except (QueryShiftError, ValueError) as exc:
         raise BadInputError(f"bad gallery file: {exc}") from exc
     truth = read_ground_truth(cfg.paths["ground_truth"], stream.shape[0], gallery.size)
     return gallery, stream, truth
@@ -363,7 +354,7 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything."""
     started = time.monotonic()
     gallery, stream, truth = _load_inputs(cfg)
-    session = AdaptationSession(gallery, cfg.session_config())
+    session = AdaptationSession(gallery, cfg)
 
     z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
     initial = _stream_metrics(z0, gallery, truth)
@@ -514,7 +505,7 @@ def main(argv=None) -> int:
             raise BadConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
 
         if args.command == "synth":
             if not args.out:
@@ -540,10 +531,7 @@ def main(argv=None) -> int:
     except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BadInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except QueryShiftError as exc:
+    except (QueryShiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

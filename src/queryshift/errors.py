@@ -10,7 +10,7 @@ class ZeroVectorError(QueryShiftError):
 
 
 class DivergenceError(QueryShiftError):
-    """Adapter parameters or adapted rows are no longer finite (CLI exit code 3)."""
+    """Adapter parameters or rows are no longer finite, as after an overflow (CLI exit code 3)."""
 
 
 class DimMismatchError(QueryShiftError):
@@ -29,10 +29,6 @@ class InvalidKError(QueryShiftError):
     """Neighbor/centroid count outside the valid range."""
 
 
-class IndexOutOfRangeError(QueryShiftError):
-    """A query batch is not a non-empty 2-D array."""
-
-
 class EmptyQueueError(QueryShiftError):
     """Constraint estimation requires a non-empty queue."""
 
@@ -47,10 +43,6 @@ class TooFewCandidatesError(QueryShiftError):
 
 class SupportMismatchError(QueryShiftError):
     """Two prediction lists are not defined over the same candidate sets."""
-
-
-class LengthMismatchError(QueryShiftError):
-    """Gradient vectors must have the same length."""
 
 
 class UnknownBaselineError(QueryShiftError):

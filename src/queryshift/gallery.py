@@ -84,25 +84,6 @@ class CentroidSet:
         return self.centroids.shape[0]
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Top-k gallery ids for one query, similarities non-increasing."""
-
-    ids: np.ndarray
-    similarities: np.ndarray
-
-
-def knn(gallery: Gallery, query: np.ndarray, k: int) -> NeighborList:
-    """Exact top-k gallery rows by cosine similarity: one row of knn_table()."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (gallery.dim,):
-        raise DimMismatchError(
-            f"query shape {query.shape} does not match gallery dim {gallery.dim}"
-        )
-    ids = knn_table(gallery, query[None, :], k)[0]
-    return NeighborList(ids=ids, similarities=gallery.items[ids] @ query)
-
-
 def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
     """Batched exact top-k ids, one row per query, by cosine similarity.
 

@@ -33,18 +33,6 @@ from .vectors import (
 
 
 @dataclass(frozen=True)
-class ParamGradient:
-    """Gradient with respect to the adapter's (gamma, beta)."""
-
-    d_gamma: np.ndarray
-    d_beta: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        """Flattened [gamma..., beta...] layout."""
-        return np.concatenate([self.d_gamma, self.d_beta])
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """Per-term values of the robust objective; the total is their sum."""
 
@@ -153,17 +141,15 @@ def forward_state(
     )
 
 
-def param_grad(state: ForwardState, dz: np.ndarray) -> ParamGradient:
-    """Back-propagate a gradient w.r.t. z through normalization to (gamma, beta).
+def param_grad(state: ForwardState, dz: np.ndarray) -> np.ndarray:
+    """Back-propagate a gradient w.r.t. z through normalization to the flat
+    [gamma..., beta...] vector.
 
     The Jacobian of z = u / ||u|| is (I - z z^T) / ||u||, applied exactly.
     """
     proj = dz - state.z * np.sum(state.z * dz, axis=1, keepdims=True)
     du = proj / state.norms[:, None]
-    return ParamGradient(
-        d_gamma=np.sum(du * state.raw, axis=0),
-        d_beta=np.sum(du, axis=0),
-    )
+    return np.concatenate([np.sum(du * state.raw, axis=0), np.sum(du, axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +409,7 @@ def gradient_check(
 
             theta0 = np.concatenate([state.gamma, state.beta])
             for term, fn in terms.items():
-                ga = param_grad(state, fn(state)[1]).flat()
+                ga = param_grad(state, fn(state)[1])
                 if perturb:
                     ga = ga + perturb
 

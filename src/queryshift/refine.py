@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EmptyQueueError,
-    IndexOutOfRangeError,
-    InvalidKError,
-)
+from .errors import DimMismatchError, EmptyBatchError, EmptyQueueError, InvalidKError
 from .gallery import CentroidSet, Gallery, knn_table
 
 # Centroids numerically equal to the positive are dropped from the negatives.
@@ -109,8 +104,10 @@ def build_candidate_sets(
     positive id never reappears among the negatives.
     """
     batch_z = np.asarray(batch_z, dtype=np.float64)
-    if batch_z.ndim != 2 or batch_z.shape[0] < 1:
-        raise IndexOutOfRangeError("query batch must be a non-empty 2-D array")
+    if batch_z.ndim != 2:
+        raise DimMismatchError("query batch must be a 2-D array")
+    if batch_z.shape[0] < 1:
+        raise EmptyBatchError("query batch must hold at least one row")
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
     b = batch_z.shape[0]

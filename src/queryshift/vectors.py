@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPositiveTemperatureError, ZeroVectorError
+from .errors import DivergenceError, NonPositiveTemperatureError, ZeroVectorError
 
 # Norm below which a vector counts as zero.
 EPS_NORM = 1e-12
@@ -18,9 +18,17 @@ EPS_PROB = 1e-12
 
 
 def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D array."""
+    """Row-wise unit normalization of a 2-D array.
+
+    Raises DivergenceError on a non-finite row norm (a non-finite entry, or
+    an overflow: dividing by it would give a zero row).
+    """
     a = np.asarray(a, dtype=np.float64)
-    norms = np.linalg.norm(a, axis=1)
+    # An overflow is caught by the finiteness check below.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise DivergenceError("a row has a non-finite norm")
     if np.any(norms <= EPS_NORM):
         raise ZeroVectorError("batch contains a row with near-zero norm")
     return a / norms[:, None]

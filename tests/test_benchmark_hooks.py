@@ -8,6 +8,9 @@ A deleted or renamed function would therefore read 0 instead of failing.
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from queryshift.adapt import AdaptationSession
@@ -36,3 +39,67 @@ def test_per_layer_names_have_hooks():
         assert not function.startswith("_"), name
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
     assert checked, "no per-layer name names a traced function"
+
+
+# Runs in a fresh interpreter: the tracer and the session hooks patch module
+# and class attributes for the rest of the process.
+HOOKED_SESSION = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import child, tracer
+from queryshift.adapt import AdaptationSession, SessionConfig
+from queryshift.synth import SyntheticSpec, generate_benchmark
+
+gallery, stream, _ = generate_benchmark(
+    SyntheticSpec(classes=4, dim=8, gallery_size=32, stream_length=24, sigma_query=0.2, seed=1)
+)
+modules = {m: importlib.import_module(f"queryshift.{m}") for m in tracer.MODULES}
+spans = tracer.Tracer()
+tracer.install(spans, modules, child.OBSERVERS)
+capture = child.Capture(gallery.size)
+capture.block = lambda gallery_size: None
+capture.hook_session(AdaptationSession)
+session = AdaptationSession(gallery, SessionConfig(k=4, batch=8))
+session.adapt_batch(stream[:8])
+session.run_baseline(stream[8:16], "tent")
+session.run_baseline(stream[16:], "none")
+print(json.dumps({
+    "observer_errors": spans.observer_errors,
+    "counters": sorted(spans.counters),
+    "batches": len(capture.batch_times),
+    "gamma": len(capture.gamma),
+    "beta": len(capture.beta),
+}))
+"""
+
+# Every counter the OBSERVERS of benchmarks/child.py set.
+COUNTERS = [
+    "build_centroids.iters",
+    "cand.neg_scanned",
+    "cand.neg_unique",
+    "cand.queries",
+    "cand.slots",
+    "loss.active",
+    "loss.queries",
+]
+
+
+def test_benchmark_hooks_read_a_session():
+    """The benchmark's observers and session hooks still read what a session returns.
+
+    A field they read that the program deleted would otherwise show only in a
+    traced benchmark run, as an observer error or a hook error.
+    """
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(inspect.getfile(AdaptationSession)).parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", HOOKED_SESSION, str(root / "benchmarks")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["observer_errors"] == []
+    assert out["counters"] == COUNTERS
+    assert out["batches"] == out["gamma"] == out["beta"] == 3

@@ -450,6 +450,24 @@ def unsettable_fields(cls) -> list:
     return [f.name for f in fields if f.type not in cli._KINDS and f.name not in nested]
 
 
+class TestMergedConfig:
+    def test_parsed_config_is_the_session_config(self, monkeypatch):
+        cfg = parse_config(config_dict(method="rest", k=4, batch=12, seed=3))
+        assert isinstance(cfg, adapt.SessionConfig)
+        session_fields = {f.name for f in dataclasses.fields(adapt.SessionConfig)}
+        assert not session_fields & set(cli.RunConfig.__annotations__)
+        sessions = []
+
+        class Recorded(adapt.AdaptationSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(cli, "AdaptationSession", Recorded)
+        cmd_adapt(cfg)
+        assert len(sessions) == 1 and sessions[0].config is cfg
+
+
 class TestConfigSchema:
     def test_every_field_is_a_json_kind_or_a_nested_block(self):
         assert set(cli._KINDS.values()) <= set(cli._JSON_TYPES)
@@ -765,6 +783,51 @@ class TestMainEntry:
         assert main(argv) == 3
         assert "parameters are no longer finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg, command, flags",
+        [
+            (synth_config_dict(sigma_gallery=1e308), "adapt", []),
+            (synth_config_dict(sigma_gallery=1e308), "metrics", []),
+            (synth_config_dict(sigma_gallery=1e308), "probe", []),
+            (synth_config_dict(sigma_query=1e308), "adapt", []),
+            (synth_config_dict(sigma_query=1e308), "metrics", []),
+            (corruption_config_dict(kind="gaussian_noise", sigma=1e308), "adapt", []),
+            (config_dict(), "probe", ["--lambda-scale=1e308"]),
+            (config_dict(), "probe", ["--lambda-offset=1e308"]),
+        ],
+        ids=["sigma_gallery-adapt", "sigma_gallery-metrics", "sigma_gallery-probe",
+             "sigma_query-adapt", "sigma_query-metrics", "noise_sigma-adapt",
+             "lambda_scale-probe", "lambda_offset-probe"],
+    )
+    def test_overflowing_values_exit_with_one_error_line(
+        self, tmp_path, capsys, cfg, command, flags
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "rep.json"
+        assert main(["--config", str(cfg_path), command, "--out", str(out), *flags]) in (2, 3)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["adapt", "metrics"])
+    def test_empty_gallery_file_exit_three(self, tmp_path, capsys, command):
+        files = cmd_synth(parse_config(config_dict()), tmp_path / "bench")["files"]
+        write_embeddings(files["gallery"], np.zeros((0, BASE_SYNTH["dim"])))
+        cfg = {
+            "method": "none",
+            "paths": {
+                "gallery": files["gallery"],
+                "queries": files["queries_corrupt"],
+                "ground_truth": files["ground_truth"],
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(cfg_path), command]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad gallery file"), err
 
     def test_missing_file_exit_three(self, tmp_path):
         cfg = {

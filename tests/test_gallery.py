@@ -5,7 +5,7 @@ import pytest
 
 from queryshift import gallery as gallery_mod
 from queryshift.errors import DimMismatchError, InvalidKError
-from queryshift.gallery import Gallery, build_centroids, knn, knn_table
+from queryshift.gallery import Gallery, build_centroids, knn_table
 from queryshift.vectors import EPS_NORM, l2_normalize_rows
 
 
@@ -202,13 +202,13 @@ def linear_scan_oracle(items, q, k):
 class TestKnn:
     def test_exact_match_first(self):
         g = Gallery(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        nl = knn(g, np.array([1.0, 0.0]), 1)
-        assert list(nl.ids) == [0]
+        ids = knn_table(g, np.array([[1.0, 0.0]]), 1)[0]
+        assert list(ids) == [0]
 
     def test_tie_breaks_to_lower_id(self):
         g = Gallery(np.array([[0.0, 1.0], [0.0, -1.0]]))
-        nl = knn(g, np.array([1.0, 0.0]), 2)
-        assert list(nl.ids) == [0, 1]
+        ids = knn_table(g, np.array([[1.0, 0.0]]), 2)[0]
+        assert list(ids) == [0, 1]
 
     def test_matches_linear_scan(self):
         g = random_gallery(256, 8, 11)
@@ -216,25 +216,23 @@ class TestKnn:
         for _ in range(20):
             q = rng.standard_normal(8)
             q /= np.linalg.norm(q)
-            nl = knn(g, q, 10)
-            assert list(nl.ids) == linear_scan_oracle(g.items, q, 10)
-            assert all(
-                nl.similarities[i] >= nl.similarities[i + 1] - 1e-12
-                for i in range(len(nl.similarities) - 1)
-            )
+            ids = knn_table(g, q[None], 10)[0]
+            assert list(ids) == linear_scan_oracle(g.items, q, 10)
+            sims = g.items[ids] @ q
+            assert all(sims[i] >= sims[i + 1] - 1e-12 for i in range(len(sims) - 1))
 
     def test_full_k_is_permutation(self):
         g = random_gallery(50, 4, 13)
         q = g.items[7]
-        nl = knn(g, q, g.size)
-        assert sorted(nl.ids) == list(range(g.size))
+        ids = knn_table(g, q[None], g.size)[0]
+        assert sorted(ids) == list(range(g.size))
 
     def test_errors(self):
         g = random_gallery(5, 3, 0)
         with pytest.raises(InvalidKError):
-            knn(g, g.items[0], 6)
+            knn_table(g, g.items[:1], 6)
         with pytest.raises(DimMismatchError):
-            knn(g, np.ones(4), 2)
+            knn_table(g, np.ones((1, 4)), 2)
 
     def test_table_matches_single(self):
         g = random_gallery(64, 6, 14)
@@ -242,7 +240,7 @@ class TestKnn:
         queries = l2_normalize_rows(rng.standard_normal((8, 6)))
         table = knn_table(g, queries, 5)
         for i in range(8):
-            assert list(table[i]) == list(knn(g, queries[i], 5).ids)
+            assert list(table[i]) == list(knn_table(g, queries[i][None], 5)[0])
 
     def test_ties_across_the_cut_match_sort_oracle(self):
         # Five score levels over up to 40 items put ties at the k-th place

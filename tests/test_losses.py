@@ -132,8 +132,8 @@ class TestLossGap:
             val, dz = _gap_grad(st.z, pos_mean, delta_s)
             gaps.append(abs(math.sqrt(val)))
             g = param_grad(st, dz)
-            gamma -= 0.05 * g.d_gamma
-            beta -= 0.05 * g.d_beta
+            gamma -= 0.05 * g[: st.dim]
+            beta -= 0.05 * g[st.dim :]
         assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
         assert gaps[-1] < gaps[0]
 
@@ -307,7 +307,7 @@ class TestTotalLossAndGrad:
         assert breakdown.l_rem == 0.0
         assert breakdown.l_rhm == 0.0
         assert breakdown.active_count == 0
-        np.testing.assert_allclose(grad.flat(), 0.0, atol=1e-12)
+        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_breakdown_sums(self):
         state, _, _, _ = make_instance(seed=10)
@@ -343,8 +343,8 @@ class TestTotalLossAndGrad:
 
         theta0 = np.concatenate([state.gamma, state.beta])
         numeric = finite_diff_grad(frozen_total, theta0)
-        scale = max(np.abs(grad.flat()).max(), np.abs(numeric).max(), 1e-8)
-        assert np.abs(grad.flat() - numeric).max() / scale < 1e-4
+        scale = max(np.abs(grad).max(), np.abs(numeric).max(), 1e-8)
+        assert np.abs(grad - numeric).max() / scale < 1e-4
 
     def test_uniformity_gradient_points_to_spread(self):
         # Stepping against the uniformity gradient must increase the spread.
@@ -360,8 +360,8 @@ class TestTotalLossAndGrad:
         val, dz = _uniformity_grad(state.z)
         g = param_grad(state, dz)
         before = metric_uniformity(state.z)
-        gamma2 = gamma - 0.05 * g.d_gamma
-        beta2 = beta - 0.05 * g.d_beta
+        gamma2 = gamma - 0.05 * g[:d]
+        beta2 = beta - 0.05 * g[d:]
         _, z2 = affine_normalize(gamma2, beta2, raw)
         assert metric_uniformity(z2) > before
 
@@ -370,7 +370,7 @@ class TestTotalLossAndGrad:
         constraints = ConstraintEstimates(gap_source=0.3, entropy_threshold=1e-12)
         breakdown, grad = total_loss_and_grad(state, constraints)
         assert breakdown.l_rem == 0.0 and breakdown.l_rhm == 0.0
-        assert np.all(np.isfinite(grad.flat()))
+        assert np.all(np.isfinite(grad))
 
 
 class TestGradientCheckHarness:
@@ -513,7 +513,7 @@ class TestPaddedBatch:
             constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
             breakdown, grad = total_loss_and_grad(state, constraints)
             assert np.isfinite(breakdown.l_total)
-            assert np.all(np.isfinite(grad.flat()))
+            assert np.all(np.isfinite(grad))
             for val, dz in (
                 _kl_grad(state, src.probs),
                 _em_grad(state),
@@ -547,7 +547,7 @@ class TestPaddedBatch:
         d = state.dim
         theta0 = np.concatenate([state.gamma, state.beta])
         for name, term in terms.items():
-            analytic = param_grad(state, term(state)[1]).flat()
+            analytic = param_grad(state, term(state)[1])
 
             def value(theta, term=term):
                 return term(forward_state(theta[:d], theta[d:], raw, cand_embs, state.tau))[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from queryshift.errors import DimMismatchError, EmptyQueueError
+from queryshift.errors import DimMismatchError, EmptyBatchError, EmptyQueueError
 from queryshift.gallery import CentroidSet, Gallery, build_centroids, knn_table
 from queryshift.losses import forward_state
 from queryshift.refine import (
@@ -181,6 +181,14 @@ class TestBuildCandidateSet:
         for cs in build_candidate_sets(batch, g, cents, 4):
             refs = [cs.positive_id] + [r for r in cs.negative_ids if r >= 0]
             assert len(refs) == len(set(refs))
+
+    def test_batch_shape_errors(self):
+        g = random_gallery(16, 4, 0)
+        cents = build_centroids(g, 2, seed=0)
+        with pytest.raises(EmptyBatchError):
+            build_candidate_sets(np.empty((0, 4)), g, cents, 2)
+        with pytest.raises(DimMismatchError):
+            build_candidate_sets(random_queries(1, 4, 1)[0], g, cents, 2)
 
 
 def refined(q, cs, tau):
