@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    DivergenceError,
-    InvalidKError,
-    InvalidSpecError,
-    UnknownBaselineError,
-)
+from .errors import DimMismatchError, DivergenceError, InvalidKError, InvalidSpecError
 from .gallery import CentroidSet, Gallery, build_centroids, knn_table
 from .losses import (
     ForwardState,
@@ -145,7 +139,7 @@ def kl_general(state: ForwardState, src_probs: np.ndarray) -> tuple[float, np.nd
     """General direction: (KL of current predictions from frozen source ones,
     its flat parameter gradient).
 
-    ``src_probs`` must share the state's padded (b, m_max) candidate supports.
+    ``src_probs`` must share the state's (b, U) candidate supports.
     A KL of exactly 0 means the predictions coincide, the KL's minimum, where
     the direction is exactly zero (the computed gradient would be roundoff).
     """
@@ -254,7 +248,7 @@ class AdaptationSession:
     def run_baseline(self, raw: np.ndarray, kind: str) -> BatchResult:
         """Tent- or pseudo-label-style step, or plain ranking with no update."""
         if kind not in _BASELINES:
-            raise UnknownBaselineError(f"unknown baseline {kind!r}")
+            raise InvalidSpecError(f"unknown baseline {kind!r}")
         return self._run_batch(raw, kind)
 
     # -- internals ---------------------------------------------------------
@@ -305,7 +299,7 @@ class AdaptationSession:
         diagnostics: BatchDiagnostics,
     ):
         """Robust-objective update direction, its loss terms and the next queue."""
-        positives = state.cand_embs[:, 0]
+        positives = state.positives
         scores = source_likeness(state.z, positives, state.z.mean(axis=0), positives.mean(axis=0))
         queue = update_queue(self.queue, state.z, positives, scores, state.entropies)
         constraints = estimate_constraints(queue)

@@ -60,16 +60,23 @@ _KINDS = {"bool": "bool", "int": "int", "float": "number", "str": "string"}
 # File formats
 # ---------------------------------------------------------------------------
 
-def write_embeddings(path, arr: np.ndarray) -> None:
-    """Write a 2-D float array as an EMB1 file (float32 on disk)."""
+def _emb1_bytes(arr: np.ndarray) -> bytes:
+    """EMB1 file contents of a 2-D float array; refuses values float32 cannot hold."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise BadInputError("embedding array must be 2-D")
-    n, d = arr.shape
-    payload = arr.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, n, d))
-        fh.write(payload)
+    # A value beyond the float32 range becomes inf, which the check rejects.
+    with np.errstate(over="ignore"):
+        payload = arr.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise BadInputError("embedding values are not finite in float32")
+    return _HEADER.pack(MAGIC, *arr.shape) + payload.tobytes(order="C")
+
+
+def write_embeddings(path, arr: np.ndarray) -> None:
+    """Write a 2-D float array as an EMB1 file (float32 on disk); a refused
+    array leaves no file."""
+    Path(path).write_bytes(_emb1_bytes(arr))
 
 
 def read_embeddings(path) -> np.ndarray:
@@ -288,17 +295,24 @@ def _corruption_echo(c: CorruptionSpec) -> dict:
 # Input assembly
 # ---------------------------------------------------------------------------
 
+def _synthesize(cfg: RunConfig):
+    """Gallery, clean and corrupted raw query streams, and ground truth of the
+    synth block; a block whose values cannot be normalized is a bad config."""
+    # Values too large for float64 overflow; the row-norm checks catch them.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gallery, stream, truth = generate_benchmark(cfg.synth)
+            corrupted = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
+            l2_normalize_rows(corrupted)
+    except (QueryShiftError, ValueError) as exc:
+        raise BadConfigError(f"config.synth: {exc}") from exc
+    return gallery, stream, corrupted, truth
+
+
 def _load_inputs(cfg: RunConfig):
     """Gallery, raw query stream, and ground truth from files or the synth block."""
     if cfg.synth is not None:
-        # Values too large for float64 overflow; the row-norm checks catch them.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gallery, stream, truth = generate_benchmark(cfg.synth)
-                stream = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
-                l2_normalize_rows(stream)
-        except (QueryShiftError, ValueError) as exc:
-            raise BadConfigError(f"config.synth: {exc}") from exc
+        gallery, _, stream, truth = _synthesize(cfg)
         return gallery, stream, truth
     g_arr = read_embeddings(cfg.paths["gallery"])
     stream = read_embeddings(cfg.paths["queries"])
@@ -330,22 +344,25 @@ def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth) -> dict
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, out_dir) -> dict:
-    """Write gallery, clean and corrupted query streams, and ground truth."""
+    """Write gallery, clean and corrupted query streams, and ground truth.
+
+    Every file is encoded before any is written: a synth block whose values
+    the EMB1 files cannot hold is a bad config and writes nothing.
+    """
     if cfg.synth is None:
         raise BadConfigError("synth command needs a 'synth' block in the config")
+    gallery, stream, corrupted, truth = _synthesize(cfg)
+    arrays = {"gallery": gallery.items, "queries_clean": stream, "queries_corrupt": corrupted}
+    try:
+        blobs = {name: _emb1_bytes(arr) for name, arr in arrays.items()}
+    except BadInputError as exc:
+        raise BadConfigError(f"config.synth: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gallery, stream, truth = generate_benchmark(cfg.synth)
-    corrupted = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
-    files = {
-        "gallery": out / "gallery.emb1",
-        "queries_clean": out / "queries_clean.emb1",
-        "queries_corrupt": out / "queries_corrupt.emb1",
-        "ground_truth": out / "ground_truth.tsv",
-    }
-    write_embeddings(files["gallery"], gallery.items)
-    write_embeddings(files["queries_clean"], stream)
-    write_embeddings(files["queries_corrupt"], corrupted)
+    files = {name: out / f"{name}.emb1" for name in blobs}
+    for name, blob in blobs.items():
+        files[name].write_bytes(blob)
+    files["ground_truth"] = out / "ground_truth.tsv"
     write_ground_truth(files["ground_truth"], truth)
     return {"schema": 1, "files": {k: str(v) for k, v in files.items()}}
 

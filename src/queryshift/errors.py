@@ -14,51 +14,19 @@ class DivergenceError(QueryShiftError):
 
 
 class DimMismatchError(QueryShiftError):
-    """Operands have incompatible dimensions."""
+    """Operands have incompatible shapes or supports, or rankings miss queries."""
 
 
 class EmptyBatchError(QueryShiftError):
-    """An operation requires at least one row."""
-
-
-class NonPositiveTemperatureError(QueryShiftError):
-    """Softmax temperature must be strictly positive."""
+    """Nothing to work on: no rows, queue entries, negatives or relevance pairs."""
 
 
 class InvalidKError(QueryShiftError):
     """Neighbor/centroid count outside the valid range."""
 
 
-class EmptyQueueError(QueryShiftError):
-    """Constraint estimation requires a non-empty queue."""
-
-
-class NonPositiveThresholdError(QueryShiftError):
-    """Entropy threshold must be strictly positive."""
-
-
-class TooFewCandidatesError(QueryShiftError):
-    """Hard-negative selection needs at least two candidates."""
-
-
-class SupportMismatchError(QueryShiftError):
-    """Two prediction lists are not defined over the same candidate sets."""
-
-
-class UnknownBaselineError(QueryShiftError):
-    """Unrecognized baseline method name."""
-
-
 class InvalidSpecError(QueryShiftError):
-    """Synthetic benchmark or corruption specification is invalid."""
-
-
-class EmptyGroundTruthError(QueryShiftError):
-    """Consistency metric requires at least one relevance pair."""
-
-
-class MissingQueryError(QueryShiftError):
-    """Rankings do not cover every query in the ground truth."""
+    """A specification or argument (temperature, threshold, method) is invalid."""
 
 
 class BadConfigError(QueryShiftError):

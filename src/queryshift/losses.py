@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DivergenceError,
-    EmptyBatchError,
-    NonPositiveThresholdError,
-    SupportMismatchError,
-    TooFewCandidatesError,
-    ZeroVectorError,
+    DimMismatchError, DivergenceError, EmptyBatchError, InvalidSpecError, ZeroVectorError
 )
 from .gallery import Gallery, build_centroids
 from .refine import CandidateBatch, ConstraintEstimates, build_candidate_sets
@@ -48,10 +43,11 @@ class LossBreakdown:
 class ForwardState:
     """Recorded forward pass of one batch through the adapter.
 
-    Candidate embeddings are frozen snapshots; re-evaluating a loss at
-    perturbed parameters keeps them (and all other discrete choices) fixed.
-    Per-candidate arrays are (b, m_max), padded past each query's list as
-    ``mask`` marks: padded slots score -inf and have probability exactly 0.
+    The candidate pool is a frozen snapshot; re-evaluating a loss at
+    perturbed parameters keeps it (and all other discrete choices) fixed.
+    Per-candidate arrays are (b, U) over the pool columns: columns outside a
+    query's candidates (``mask``) score -inf and have probability exactly 0.
+    ``pos`` holds each query's positive column.
     """
 
     raw: np.ndarray
@@ -59,7 +55,8 @@ class ForwardState:
     beta: np.ndarray
     norms: np.ndarray
     z: np.ndarray
-    cand_embs: np.ndarray
+    pool: np.ndarray
+    pos: np.ndarray
     mask: np.ndarray
     scores: np.ndarray
     probs: np.ndarray
@@ -69,6 +66,11 @@ class ForwardState:
     @property
     def batch_size(self) -> int:
         return self.raw.shape[0]
+
+    @property
+    def positives(self) -> np.ndarray:
+        """(b, d) embeddings of the queries' positives."""
+        return self.pool[self.pos]
 
     @property
     def dim(self) -> int:
@@ -96,35 +98,18 @@ def affine_normalize(gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray):
     return norms, pre / norms[:, None]
 
 
-def _padded(cand_embs: CandidateBatch | list):
-    """(b, m_max, d) embeddings and (b, m_max) mask of a CandidateBatch or a list."""
-    if isinstance(cand_embs, CandidateBatch):
-        return cand_embs.embs, cand_embs.mask
-    sizes = np.array([c.shape[0] for c in cand_embs])
-    mask = np.arange(sizes.max()) < sizes[:, None]
-    embs = np.zeros(mask.shape + (cand_embs[0].shape[1],))
-    embs[mask] = np.concatenate(cand_embs)
-    return embs, mask
-
-
 def forward_state(
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    raw: np.ndarray,
-    cand_embs: CandidateBatch | list,
-    tau: float,
+    gamma: np.ndarray, beta: np.ndarray, raw: np.ndarray, cands: CandidateBatch, tau: float
 ) -> ForwardState:
-    """Run the batch forward pass against frozen candidate embeddings.
+    """Run the batch forward pass against a frozen candidate pool.
 
-    ``cand_embs`` is a ``CandidateBatch`` or one (m_i, d) array per query.
-    All rows are scored by one matmul over the padded (b, m_max, d) tensor
-    and one softmax over rows whose padded slots score -inf.
+    All rows are scored by one matmul against the pool and one softmax over
+    rows whose non-candidate columns score -inf.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     norms, z = affine_normalize(gamma, beta, raw)
-    embs, mask = _padded(cand_embs)
-    scores = np.where(mask, np.matmul(embs, z[:, :, None])[:, :, 0], -np.inf)
+    scores = np.where(cands.mask, z @ cands.embs.T, -np.inf)
     probs = softmax_temp(scores, tau)
     return ForwardState(
         raw=np.asarray(raw, dtype=np.float64),
@@ -132,8 +117,9 @@ def forward_state(
         beta=beta,
         norms=norms,
         z=z,
-        cand_embs=embs,
-        mask=mask,
+        pool=cands.embs,
+        pos=cands.pos,
+        mask=cands.mask,
         scores=scores,
         probs=probs,
         entropies=shannon_entropy(probs),
@@ -160,7 +146,7 @@ def param_grad(state: ForwardState, dz: np.ndarray) -> np.ndarray:
 def rem_weights(entropies: np.ndarray, e_b: float) -> np.ndarray:
     """Per-query filter weights max(1 - E/E_B, 0)."""
     if not e_b > 0:
-        raise NonPositiveThresholdError(f"entropy threshold must be > 0, got {e_b}")
+        raise InvalidSpecError(f"entropy threshold must be > 0, got {e_b}")
     return np.maximum(1.0 - np.asarray(entropies, dtype=np.float64) / e_b, 0.0)
 
 
@@ -202,7 +188,7 @@ def _entropy_score_grads(state: ForwardState) -> np.ndarray:
 
 
 def _dz_from_score_grads(state: ForwardState, ds: np.ndarray) -> np.ndarray:
-    return np.matmul(ds[:, None, :], state.cand_embs)[:, 0]
+    return ds @ state.pool
 
 
 def _rem_grad(state: ForwardState, w: np.ndarray, n_act: int):
@@ -212,30 +198,18 @@ def _rem_grad(state: ForwardState, w: np.ndarray, n_act: int):
     return float((w * state.entropies).sum() / n_act), (w / n_act)[:, None] * dz
 
 
-def consistency_from_scores(scores: np.ndarray, mask: np.ndarray):
-    """Clamped consistencies of (b, m) cosine scores and each row's hard slot.
-
-    The hard slot is the highest-consistency valid slot >= 1; ties go to the
-    lowest slot.
-    """
-    if mask.shape[1] < 2 or not mask[:, 1].all():
-        raise TooFewCandidatesError("need a positive and at least one negative")
-    c = np.clip((1.0 + np.clip(scores, -1.0, 1.0)) / 2.0, EPS_PROB, 1.0)
-    return c, 1 + np.argmax(np.where(mask[:, 1:], c[:, 1:], -np.inf), axis=1)
-
-
 def _rhm_grad(state: ForwardState, w: np.ndarray, n_act: int, slots: np.ndarray):
     if n_act == 0:
         return 0.0, np.zeros_like(state.z)
     rows = np.arange(state.batch_size)
     # Column 0 is the positive, column 1 the hard negative.
-    pair = state.scores[rows[:, None], np.stack([np.zeros_like(slots), slots], axis=1)]
+    pair = state.scores[rows[:, None], np.stack([state.pos, slots], axis=1)]
     raw_c = (1.0 + np.clip(pair, -1.0, 1.0)) / 2.0
     c = np.clip(raw_c, EPS_PROB, 1.0)
     h = np.log(c[:, 1]) - np.log(c[:, 0])
     live = (EPS_PROB < raw_c) & (raw_c < 1.0)
     coef = (w / n_act)[:, None] * live / (2.0 * c)
-    dz = coef[:, 1:] * state.cand_embs[rows, slots] - coef[:, :1] * state.cand_embs[:, 0]
+    dz = coef[:, 1:] * state.pool[slots] - coef[:, :1] * state.positives
     return float((w * h).sum() / n_act), dz
 
 
@@ -252,13 +226,13 @@ def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     q = np.asarray(src_probs, dtype=np.float64)
     p = state.probs
     if q.shape != p.shape or np.any(q[~state.mask] != 0.0):
-        raise SupportMismatchError(
+        raise DimMismatchError(
             f"source predictions {q.shape} do not share the candidate supports {p.shape}"
         )
     b = state.batch_size
     val = float((q * (clamped_log(q) - clamped_log(p))).sum()) / b
     live = (p > EPS_PROB).astype(np.float64)
-    # Source mass on the live slots; padded slots hold none (checked above).
+    # Source mass on the live columns; non-candidates hold none (checked above).
     s_live = (q * live).sum(axis=1, keepdims=True)
     ds = (p * s_live - q * live) / (b * state.tau)
     return val, _dz_from_score_grads(state, ds)
@@ -276,13 +250,22 @@ def _pl_grad(state: ForwardState, labels: np.ndarray):
 
 
 def hard_negative_slots(state: ForwardState) -> np.ndarray:
-    """Argmax-consistency negative slot per query, frozen for the step."""
-    return consistency_from_scores(state.scores, state.mask)[1]
+    """Pool column of each query's highest-consistency negative, frozen for the step.
+
+    Consistency is the cosine score mapped to [0, 1] and clamped at EPS_PROB;
+    ties go to the lowest column.
+    """
+    negatives = state.mask.copy()
+    negatives[np.arange(state.batch_size), state.pos] = False
+    if not negatives.any(axis=1).all():
+        raise EmptyBatchError("need a positive and at least one negative")
+    c = np.clip((1.0 + np.clip(state.scores, -1.0, 1.0)) / 2.0, EPS_PROB, 1.0)
+    return np.argmax(np.where(negatives, c, -np.inf), axis=1)
 
 
 def positives_mean(state: ForwardState) -> np.ndarray:
-    """Mean of the per-query positive embeddings (candidate slot 0)."""
-    return state.cand_embs[:, 0].mean(axis=0)
+    """Mean of the per-query positive embeddings."""
+    return state.positives.mean(axis=0)
 
 
 def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):

@@ -3,8 +3,8 @@
 A query's prediction is taken over a pruned candidate list instead of the whole
 gallery: its own 1-NN as the positive, the other batch members' top-k neighbors
 as sample negatives, and the gallery centroids as cluster negatives. A batch's
-lists are held as one zero-padded tensor with a validity mask. Pairs that look
-source-domain-like feed a queue from which the gap and entropy-threshold
+lists are held as one shared candidate pool with a per-query mask. Pairs that
+look source-domain-like feed a queue from which the gap and entropy-threshold
 constraints are estimated.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyBatchError, EmptyQueueError, InvalidKError
+from .errors import DimMismatchError, EmptyBatchError, InvalidKError
 from .gallery import CentroidSet, Gallery, knn_table
 
 # Centroids numerically equal to the positive are dropped from the negatives.
@@ -42,26 +42,29 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class CandidateBatch(Sequence):
-    """Candidate lists of a batch, zero-padded to the longest list.
+    """Candidate lists of a batch as one shared pool of U candidates.
 
-    ``ids`` (b, m_max) and ``embs`` (b, m_max, d) hold each query's slots in
-    ``CandidateSet`` order; ``mask`` is True on the real slots, a prefix of
-    every row. Padded slots hold id 0 and zero rows. Item ``i`` is query i's
-    ``CandidateSet``, its embeddings a view into ``embs``.
+    ``ids`` (U,) are the gallery ids the batch's k-NN table holds, ascending,
+    then centroid j as -(j + 1); ``embs`` (U, d) are their embeddings.
+    ``mask`` (b, U) is True on query i's candidates and ``pos`` (b,) is the
+    column of its positive. Item ``i`` is query i's ``CandidateSet``, its
+    negatives in pool order.
     """
 
     ids: np.ndarray
-    mask: np.ndarray
     embs: np.ndarray
+    pos: np.ndarray
+    mask: np.ndarray
 
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return self.mask.shape[0]
 
     def __getitem__(self, i: int) -> CandidateSet:
         i = range(len(self))[i]
-        m = int(np.count_nonzero(self.mask[i]))
-        negatives = tuple(self.ids[i, 1:m].tolist())
-        return CandidateSet(i, int(self.ids[i, 0]), negatives, self.embs[i, :m])
+        cols = np.flatnonzero(self.mask[i])
+        cols = np.concatenate([[self.pos[i]], cols[cols != self.pos[i]]])
+        ids = self.ids[cols].tolist()
+        return CandidateSet(i, ids[0], tuple(ids[1:]), self.embs[cols])
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,10 @@ class ConstraintEstimates:
 def build_candidate_sets(
     batch_z: np.ndarray, gallery: Gallery, centroids: CentroidSet, k: int
 ) -> CandidateBatch:
-    """Candidate sets for every query in a batch of unit-norm embeddings.
+    """Candidate pool of a batch of unit-norm embeddings.
 
-    Negatives keep their first occurrence: sample negatives in ascending
-    batch order, each in similarity order, followed by the centroids. The
-    positive id never reappears among the negatives.
+    Query i's negatives are every gallery id another row of the batch's k-NN
+    table holds, and every centroid, except its positive.
     """
     batch_z = np.asarray(batch_z, dtype=np.float64)
     if batch_z.ndim != 2:
@@ -110,43 +112,29 @@ def build_candidate_sets(
         raise EmptyBatchError("query batch must hold at least one row")
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
-    b = batch_z.shape[0]
     table = knn_table(gallery, batch_z, k)
-    pos = table[:, 0]
-
-    # Query i meets each id at its first slot outside row i: the id's first
-    # slot, or its first slot in another row when the first lies in row i.
-    # Keeping those slots in table order gives first-occurrence order.
-    flat = table.ravel()
-    n = flat.size
-    row = np.arange(n) // table.shape[1]
-    _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
-    first_row = row[first][inv]
-    other = np.flatnonzero(row != first_row)
-    second = np.full(first.size, n)
-    seen, at = np.unique(inv[other], return_index=True)
-    second[seen] = other[at]
-    meet = np.where(first_row == np.arange(b)[:, None], second[inv], first[inv])
-    is_neg = (meet == np.arange(n)) & (flat != pos[:, None])
+    gids, inv = np.unique(table, return_inverse=True)
+    # numpy 1.x returns the inverse flat.
+    inv = inv.reshape(table.shape)
+    rows = np.arange(table.shape[0])
+    holds = np.zeros((rows.size, gids.size), dtype=bool)
+    holds[rows[:, None], inv] = True
+    # Another row holds an id when its row count exceeds row i's own hold.
+    sampled = holds.sum(axis=0) > holds
+    pos = inv[:, 0]
+    sampled[rows, pos] = True
 
     cents = centroids.centroids
     collide = (
-        np.linalg.norm(cents[None, :, :] - gallery.items[pos][:, None, :], axis=2)
+        np.linalg.norm(cents[None, :, :] - gallery.items[gids[pos]][:, None, :], axis=2)
         <= _CENTROID_COLLISION_TOL
     )
-    refs = np.hstack(
-        [pos[:, None], np.broadcast_to(flat, (b, n)), np.tile(-1 - np.arange(centroids.k), (b, 1))]
+    return CandidateBatch(
+        ids=np.concatenate([gids, -1 - np.arange(centroids.k)]),
+        embs=np.vstack([gallery.items[gids], cents]),
+        pos=pos,
+        mask=np.hstack([sampled, ~collide]),
     )
-    valid = np.hstack([np.ones((b, 1), dtype=bool), is_neg, ~collide])
-    sizes = np.count_nonzero(valid, axis=1)
-    mask = np.arange(sizes.max()) < sizes[:, None]
-    ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask] = refs[valid]
-    embs = gallery.items[np.maximum(ids, 0)]
-    at_centroid = ids < 0
-    embs[at_centroid] = cents[-1 - ids[at_centroid]]
-    embs[~mask] = 0.0
-    return CandidateBatch(ids=ids, mask=mask, embs=embs)
 
 
 def source_likeness(
@@ -198,7 +186,7 @@ def update_queue(
 def estimate_constraints(queue: SourceLikeQueue) -> ConstraintEstimates:
     """Gap between the queue-side means and the max stored entropy."""
     if len(queue) == 0:
-        raise EmptyQueueError("cannot estimate constraints from an empty queue")
+        raise EmptyBatchError("cannot estimate constraints from an empty queue")
     gap = queue.query_embs.mean(axis=0) - queue.positive_embs.mean(axis=0)
     return ConstraintEstimates(
         gap_source=float(np.linalg.norm(gap)),

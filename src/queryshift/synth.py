@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EmptyBatchError,
-    EmptyGroundTruthError,
-    InvalidSpecError,
-    MissingQueryError,
-)
+from .errors import DimMismatchError, EmptyBatchError, InvalidSpecError
 from .gallery import Gallery, _row_blocks
 from .vectors import l2_normalize_rows
 
@@ -297,7 +291,7 @@ def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth) -> 
     z_g = np.asarray(z_g, dtype=np.float64)
     rows, ids = truth.row_ids(), truth.indices
     if ids.size == 0:
-        raise EmptyGroundTruthError("no relevance pairs")
+        raise EmptyBatchError("no relevance pairs")
     total = 0.0
     for pairs in _row_blocks(ids.size, 2 * z_g.shape[1]):
         total += float(np.vdot(z_q.take(rows[pairs], axis=0), z_g.take(ids[pairs], axis=0)))
@@ -313,9 +307,7 @@ def count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:
     rankings = np.asarray(rankings)
     n = len(truth)
     if rankings.shape[0] < n:
-        raise MissingQueryError(
-            f"rankings cover {rankings.shape[0]} queries, ground truth has {n}"
-        )
+        raise DimMismatchError(f"rankings cover {rankings.shape[0]} queries, ground truth has {n}")
     top = rankings[:n, :k]
     span = max(int(truth.indices.max(initial=0)), int(top.max(initial=0))) + 1
     keys = truth.row_ids() * span + truth.indices

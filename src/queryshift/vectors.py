@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError, NonPositiveTemperatureError, ZeroVectorError
+from .errors import DivergenceError, InvalidSpecError, ZeroVectorError
 
 # Norm below which a vector counts as zero.
 EPS_NORM = 1e-12
@@ -37,7 +37,7 @@ def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
 def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:
     """Temperature softmax over the last axis, with max-subtraction for stability."""
     if not tau > 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {tau}")
+        raise InvalidSpecError(f"temperature must be > 0, got {tau}")
     s = np.asarray(scores, dtype=np.float64) / tau
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

@@ -12,6 +12,7 @@ import statistics
 
 import numpy as np
 
+from pools import pool_of
 from queryshift.adapt import AdapterParams, decouple, sgd_step
 from queryshift.cli import cmd_adapt, cmd_probe, parse_config
 from queryshift.gallery import Gallery, build_centroids, knn_table
@@ -151,9 +152,7 @@ def test_criterion_7_fully_filtered_batch_is_inert():
 
     _, z = affine_normalize(params.gamma, params.beta, raw)
     cands = build_candidate_sets(z, gallery, cents, 4)
-    state = forward_state(
-        params.gamma, params.beta, raw, [c.candidate_embeddings for c in cands], 0.02
-    )
+    state = forward_state(params.gamma, params.beta, raw, cands, 0.02)
     assert np.all(state.entropies > 1e-300)
     e_b = float(state.entropies.min()) * 0.5
     delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
@@ -186,7 +185,9 @@ def test_criterion_8_refinement_masks_full_prediction():
         order = np.argsort(-(gallery.items[ids] @ q), kind="stable")
         ids = [int(ids[j]) for j in order]
         cs = CandidateSet(0, ids[0], tuple(ids[1:]), gallery.items[ids])
-        state = forward_state(np.ones(d), np.zeros(d), q[None], [cs.candidate_embeddings], tau)
+        state = forward_state(
+            np.ones(d), np.zeros(d), q[None], pool_of([cs.candidate_embeddings]), tau
+        )
         probs = state.probs[0]
         masked = full[ids] / full[ids].sum()
         worst = max(worst, float(np.abs(probs - masked).max()))

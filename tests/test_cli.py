@@ -91,6 +91,17 @@ class TestEmbeddingFile:
         assert (n, d) == (2, 3)
         assert len(blob) == 12 + 4 * 2 * 3
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, math.inf, math.nan])
+    def test_values_float32_cannot_hold_write_no_file(self, tmp_path, value):
+        path = tmp_path / "x.emb1"
+        arr = np.zeros((2, 3))
+        arr[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadInputError, match="not finite in float32"):
+                write_embeddings(path, arr)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.emb1"
         write_embeddings(path, np.zeros((2, 3)))
@@ -810,6 +821,26 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [synth_config_dict(sigma_query=1e39), synth_config_dict(sigma_gallery=1e300)],
+        ids=["sigma_query-float32-overflow", "sigma_gallery-float64-overflow"],
+    )
+    def test_synth_that_files_cannot_hold_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, cfg
+    ):
+        # Every file synth writes must load again: values past the float32
+        # range would be stored as inf, which read_embeddings rejects.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp_path / "bench"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg_path), "synth", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config.synth:"), err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["adapt", "metrics"])
     def test_empty_gallery_file_exit_three(self, tmp_path, capsys, command):

@@ -1,15 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from queryshift.errors import (
-    EmptyBatchError,
-    NonPositiveThresholdError,
-    SupportMismatchError,
-    TooFewCandidatesError,
-)
-from queryshift.gallery import Gallery, build_centroids
+from pools import pool_of
+from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
+from queryshift.gallery import CentroidSet, Gallery, build_centroids
 from queryshift.losses import (
     _em_grad,
     _gap_grad,
@@ -19,7 +16,6 @@ from queryshift.losses import (
     _rem_grad,
     _rhm_grad,
     _uniformity_grad,
-    consistency_from_scores,
     finite_diff_grad,
     forward_state,
     gradient_check,
@@ -44,9 +40,8 @@ def make_instance(seed=0, b=6, d=8, n=40, k=3, tau=0.5):
 
     _, z = affine_normalize(gamma, beta, raw)
     cands = build_candidate_sets(z, gallery, cents, k)
-    cand_embs = [c.candidate_embeddings for c in cands]
-    state = forward_state(gamma, beta, raw, cand_embs, tau)
-    return state, raw, cand_embs, gallery
+    state = forward_state(gamma, beta, raw, cands, tau)
+    return state, raw, cands, gallery
 
 
 def hand_state(cosines, tau):
@@ -58,7 +53,7 @@ def hand_state(cosines, tau):
     """
     cands = [np.stack([c, np.sqrt(1.0 - c**2)], axis=1) for c in map(np.asarray, cosines)]
     raw = np.tile([1.0, 0.0], (len(cands), 1))
-    return forward_state(np.ones(2), np.zeros(2), raw, cands, tau)
+    return forward_state(np.ones(2), np.zeros(2), raw, pool_of(cands), tau)
 
 
 def weighted(state, e_b):
@@ -102,7 +97,7 @@ class TestLossUniformity:
 def positives_state(z_q, z_pos):
     """State of queries ``z_q`` whose one-slot candidate lists are ``z_pos``."""
     d = z_q.shape[1]
-    return forward_state(np.ones(d), np.zeros(d), z_q, list(z_pos[:, None]), 0.5)
+    return forward_state(np.ones(d), np.zeros(d), z_q, pool_of(z_pos[:, None]), 0.5)
 
 
 class TestLossGap:
@@ -122,12 +117,12 @@ class TestLossGap:
     def test_descent_drives_gap_to_target(self):
         # Gradient-descent trace on the gap term alone: |gap - target| must
         # shrink monotonically for small steps.
-        state, raw, cand_embs, _ = make_instance(seed=4)
+        state, raw, cands, _ = make_instance(seed=4)
         delta_s = 0.05
         gamma, beta = state.gamma.copy(), state.beta.copy()
         gaps = []
         for _ in range(25):
-            st = forward_state(gamma, beta, raw, cand_embs, state.tau)
+            st = forward_state(gamma, beta, raw, cands, state.tau)
             pos_mean = positives_mean(st)
             val, dz = _gap_grad(st.z, pos_mean, delta_s)
             gaps.append(abs(math.sqrt(val)))
@@ -168,7 +163,7 @@ class TestLossRem:
         assert loss == pytest.approx((1.0 - entropy / e_b) * entropy / 1)
 
     def test_non_positive_threshold(self):
-        with pytest.raises(NonPositiveThresholdError):
+        with pytest.raises(InvalidSpecError):
             rem_weights(hand_state([[1.0]], 0.5).entropies, 0.0)
 
     def test_bounds_and_permutation_invariance(self):
@@ -222,22 +217,34 @@ class TestLossRhm:
 
 
 class TestConsistencyPair:
-    def test_exact_positive(self):
+    def test_exact_positive_one_and_orthogonal_negative_half(self):
+        # With weight 1 the hard-mining value is ln c_neg - ln c_pos = ln(0.5 / 1).
         state = hand_state([[1.0, 0.0]], 0.5)
-        c, _ = consistency_from_scores(state.scores, state.mask)
-        assert c[0, 0] == pytest.approx(1.0)
-
-    def test_orthogonal_negative_is_half(self):
-        state = hand_state([[1.0, 0.0]], 0.5)
-        c, slots = consistency_from_scores(state.scores, state.mask)
-        assert c[0, slots[0]] == pytest.approx(0.5)
+        assert hard_negative_slots(state).tolist() == [1]
+        assert rhm_value([[1.0, 0.0]], 0.5) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_argmax_slot(self):
         state = hand_state([[1.0, 0.2, 0.9, 0.4]], 0.5)
         assert hard_negative_slots(state).tolist() == [2]
 
+    def test_identical_gallery_rows_tie_to_lower_id(self):
+        # Items 2 and 7 are one vector, query 0's best negative: the tie goes
+        # to the lower id. Query 1 sits on them, so both are in the pool.
+        rng = np.random.default_rng(40)
+        items = np.abs(rng.standard_normal((10, 4))) * [-1.0, 1.0, 1.0, 1.0] - [2.0, 0, 0, 0]
+        items[0] = [1.0, 0.0, 0.0, 0.0]
+        items[2] = items[7] = [1.0, 0.5, 0.0, 0.0]
+        gallery = Gallery(l2_normalize_rows(items))
+        cents = CentroidSet(np.array([[-1.0, 0.0, 0.0, 0.0]]), 0.0, (0.0,))
+        raw = gallery.items[[0, 2]]
+        cands = build_candidate_sets(raw, gallery, cents, 3)
+        assert {2, 7} <= set(cands[0].negative_ids)
+        state = forward_state(np.ones(4), np.zeros(4), raw, cands, 0.5)
+        assert state.scores[0, cands.ids == 2] == state.scores[0, cands.ids == 7]
+        assert cands.ids[hard_negative_slots(state)[0]] == 2
+
     def test_too_few_candidates(self):
-        with pytest.raises(TooFewCandidatesError):
+        with pytest.raises(EmptyBatchError):
             hard_negative_slots(hand_state([[1.0]], 0.5))
 
 
@@ -298,7 +305,7 @@ class TestTotalLossAndGrad:
         gamma, beta = np.ones(d), np.zeros(d)
         _, z = affine_normalize(gamma, beta, raw)
         cands = build_candidate_sets(z, gallery, cents, 3)
-        state = forward_state(gamma, beta, raw, [c.candidate_embeddings for c in cands], 0.5)
+        state = forward_state(gamma, beta, raw, cands, 0.5)
         delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
         constraints = ConstraintEstimates(gap_source=delta_t, entropy_threshold=1e-9)
         breakdown, grad = total_loss_and_grad(state, constraints)
@@ -321,7 +328,7 @@ class TestTotalLossAndGrad:
         assert breakdown.l_g >= 0.0
 
     def test_matches_finite_differences(self):
-        state, raw, cand_embs, _ = make_instance(seed=11, b=8, d=16, k=4)
+        state, raw, cands, _ = make_instance(seed=11, b=8, d=16, k=4)
         e_b = 1.2 * float(np.median(state.entropies))
         constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
         _, grad = total_loss_and_grad(state, constraints)
@@ -333,7 +340,7 @@ class TestTotalLossAndGrad:
         d = state.dim
 
         def frozen_total(theta):
-            st = forward_state(theta[:d], theta[d:], raw, cand_embs, state.tau)
+            st = forward_state(theta[:d], theta[d:], raw, cands, state.tau)
             return (
                 _uniformity_grad(st.z)[0]
                 + _gap_grad(st.z, pos_mean, 0.1)[0]
@@ -356,7 +363,7 @@ class TestTotalLossAndGrad:
         from queryshift.synth import metric_uniformity
 
         _, z = affine_normalize(gamma, beta, raw)
-        state = forward_state(gamma, beta, raw, [z[:1], z[1:]], 0.5)
+        state = forward_state(gamma, beta, raw, pool_of([z[:1], z[1:]]), 0.5)
         val, dz = _uniformity_grad(state.z)
         g = param_grad(state, dz)
         before = metric_uniformity(state.z)
@@ -393,22 +400,23 @@ class TestGradientCheckHarness:
 
 
 def ragged_instance(sizes=(2, 6, 11, 3, 4), d=6, seed=30, tau=0.5):
-    """Forward state over explicit candidate lists of different lengths."""
+    """Forward state over a block-diagonal pool of candidate lists of different lengths."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((len(sizes), d))
-    cand_embs = [l2_normalize_rows(rng.standard_normal((m, d))) for m in sizes]
+    cands = pool_of([l2_normalize_rows(rng.standard_normal((m, d))) for m in sizes])
     gamma = 1.0 + 0.1 * rng.standard_normal(d)
     beta = 0.1 * rng.standard_normal(d)
-    return forward_state(gamma, beta, raw, cand_embs, tau), raw, cand_embs
+    return forward_state(gamma, beta, raw, cands, tau), raw, cands
 
 
 def per_query_reference(state, src_probs, w, n_act, slots, labels):
-    """Loss values and dz of rem, rhm, em, kl and pl, computed query by query."""
+    """Loss values and dz of rem, rhm, em, kl and pl, computed query by query
+    over each query's own candidate columns, its positive first."""
     b, tau = state.batch_size, state.tau
     out = {t: [0.0, np.zeros_like(state.z)] for t in ("rem", "rhm", "em", "kl", "pl")}
     for i in range(b):
-        m = int(state.mask[i].sum())
-        embs, p, s = state.cand_embs[i, :m], state.probs[i, :m], state.scores[i, :m]
+        cols = [state.pos[i]] + [c for c in np.flatnonzero(state.mask[i]) if c != state.pos[i]]
+        embs, p, s = state.pool[cols], state.probs[i, cols], state.scores[i, cols]
         lnp = np.log(np.maximum(p, EPS_PROB))
         live = (p > EPS_PROB).astype(np.float64)
         g = -(lnp + live)
@@ -420,16 +428,16 @@ def per_query_reference(state, src_probs, w, n_act, slots, labels):
         out["em"][1][i] = dz_entropy / b
         raw_c = (1.0 + np.clip(s, -1.0, 1.0)) / 2.0
         c = np.clip(raw_c, EPS_PROB, 1.0)
-        j = slots[i]
+        j = cols.index(slots[i])
         act_j, act_0 = (float(EPS_PROB < raw_c[t] < 1.0) for t in (j, 0))
         out["rhm"][0] += w[i] * (np.log(c[j]) - np.log(c[0])) / n_act
         out["rhm"][1][i] = (w[i] / n_act) * (
             act_j / (2.0 * c[j]) * embs[j] - act_0 / (2.0 * c[0]) * embs[0]
         )
-        q = src_probs[i, :m]
+        q = src_probs[i, cols]
         out["kl"][0] += np.sum(q * (np.log(np.maximum(q, EPS_PROB)) - lnp)) / b
         out["kl"][1][i] = ((p * np.dot(q, live) - q * live) / (b * tau)) @ embs
-        y = labels[i]
+        y = cols.index(labels[i])
         ds = live[y] * p
         ds[y] -= live[y]
         out["pl"][0] -= np.log(max(p[y], EPS_PROB)) / b
@@ -437,77 +445,91 @@ def per_query_reference(state, src_probs, w, n_act, slots, labels):
     return out
 
 
+def assert_matches_per_query_loop(state, raw, cands):
+    """Every batched term against ``per_query_reference``.
+
+    Batched sums run in another order: float64 values agree to 1e-12 relative.
+    """
+    src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, state.tau)
+    w = rem_weights(state.entropies, 1.2 * float(np.median(state.entropies)))
+    n_act = int(np.count_nonzero(w))
+    slots = hard_negative_slots(state)
+    labels = np.argmax(src.probs, axis=1)
+    ref = per_query_reference(state, src.probs, w, n_act, slots, labels)
+    got = {
+        "rem": _rem_grad(state, w, n_act),
+        "rhm": _rhm_grad(state, w, n_act, slots),
+        "em": _em_grad(state),
+        "kl": _kl_grad(state, src.probs),
+        "pl": _pl_grad(state, labels),
+    }
+    for term, (val, dz) in got.items():
+        want_val, want_dz = ref[term]
+        assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300), term
+        scale = np.abs(want_dz).max()
+        np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 * scale, err_msg=term)
+
+
 class TestPaddedBatch:
+    """One forward pass over a pool; columns outside a query's candidates are inert."""
+
     @pytest.mark.parametrize("tau", [0.5, 0.02])
     def test_losses_match_per_query_loop(self, tau):
-        # Batched sums run in another order: float64 values over at most 11
-        # candidates agree to 1e-12 relative.
-        state, raw, cand_embs = ragged_instance(tau=tau)
-        src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, tau)
-        w = rem_weights(state.entropies, 1.2 * float(np.median(state.entropies)))
-        n_act = int(np.count_nonzero(w))
-        slots = hard_negative_slots(state)
-        labels = np.argmax(src.probs, axis=1)
-        ref = per_query_reference(state, src.probs, w, n_act, slots, labels)
-        got = {
-            "rem": _rem_grad(state, w, n_act),
-            "rhm": _rhm_grad(state, w, n_act, slots),
-            "em": _em_grad(state),
-            "kl": _kl_grad(state, src.probs),
-            "pl": _pl_grad(state, labels),
-        }
-        for term, (val, dz) in got.items():
-            want_val, want_dz = ref[term]
-            assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300), term
-            scale = np.abs(want_dz).max()
-            np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 * scale, err_msg=term)
+        assert_matches_per_query_loop(*ragged_instance(tau=tau))
+
+    @pytest.mark.parametrize("tau", [0.5, 0.02])
+    def test_losses_match_per_query_loop_on_shared_pool(self, tau):
+        # A real batch: most pool columns are candidates of several queries.
+        state, raw, cands, _ = make_instance(seed=31, b=8, d=6, n=40, k=4, tau=tau)
+        assert (cands.mask.sum(axis=0) > 1).any()
+        assert_matches_per_query_loop(state, raw, cands)
 
     def test_padded_slots_have_zero_probability(self):
-        state, _, cand_embs = ragged_instance()
-        sizes = np.array([c.shape[0] for c in cand_embs])
-        assert state.probs.shape == (5, sizes.max())
-        assert np.array_equal(state.mask, np.arange(sizes.max()) < sizes[:, None])
+        state, _, cands = ragged_instance()
+        sizes = np.array([len(c) for c in cands])
+        assert state.probs.shape == (5, sizes.sum())
+        assert np.array_equal(state.mask.sum(axis=1), sizes)
         assert np.all(state.probs[~state.mask] == 0.0)
         assert np.all(state.scores[~state.mask] == -np.inf)
         np.testing.assert_allclose(state.probs.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_rows_match_their_unpadded_forward_pass(self):
-        # One padded pass reduces each row over m_max slots; against the
-        # row's own unpadded pass that moves only the last bits.
-        state, raw, cand_embs = ragged_instance()
-        for i, c in enumerate(cand_embs):
-            alone = forward_state(state.gamma, state.beta, raw[i : i + 1], [c], state.tau)
-            m = c.shape[0]
-            np.testing.assert_allclose(state.scores[i, :m], alone.scores[0], rtol=1e-12)
-            np.testing.assert_allclose(state.probs[i, :m], alone.probs[0], rtol=1e-12)
+        # One pass reduces each row over all pool columns; against the row's
+        # own pass that moves only the last bits.
+        state, raw, cands = ragged_instance()
+        for i, c in enumerate(cands):
+            alone = forward_state(
+                state.gamma, state.beta, raw[i : i + 1], pool_of([c.candidate_embeddings]), state.tau
+            )
+            row = state.mask[i]
+            np.testing.assert_allclose(state.scores[i, row], alone.scores[0], rtol=1e-12)
+            np.testing.assert_allclose(state.probs[i, row], alone.probs[0], rtol=1e-12)
             assert state.entropies[i] == pytest.approx(alone.entropies[0], rel=1e-13)
 
     def test_padded_slot_never_hard_negative(self):
-        # Zero scores on padded slots would beat every valid negative here
-        # (consistency 0.5 against at most 0.3); the mask must exclude them.
-        scores = np.array([[0.9, -0.6, -0.4, 0.0, 0.0], [0.8, -0.9, -0.9, -0.9, -0.5]])
-        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-        c, slots = consistency_from_scores(scores, mask)
-        assert slots.tolist() == [2, 4]
-        state, _, cand_embs = ragged_instance(tau=0.02)
+        # Zero scores on non-candidate columns would beat every valid negative
+        # here (consistency 0.5 against at most 0.3); the mask must exclude them.
+        state = hand_state([[0.9, -0.6, -0.4], [0.8, -0.9, -0.9, -0.9, -0.5]], 0.5)
+        state = dataclasses.replace(state, scores=np.where(state.mask, state.scores, 0.0))
+        assert hard_negative_slots(state).tolist() == [2, 7]
+        state, _, _ = ragged_instance(tau=0.02)
         slots = hard_negative_slots(state)
-        assert np.all(slots < state.mask.sum(axis=1))
         assert np.all(state.mask[np.arange(5), slots])
+        assert np.all(slots != state.pos)
 
     def test_hard_negative_ties_go_to_lowest_slot(self):
-        scores = np.array([[0.5, 0.2, 0.7, 0.7, 0.7]])
-        _, slots = consistency_from_scores(scores, np.ones((1, 5), dtype=bool))
-        assert slots.tolist() == [2]
+        state = hand_state([[0.5, 0.2, 0.7, 0.7, 0.7]], 0.5)
+        assert hard_negative_slots(state).tolist() == [2]
 
     def test_too_few_candidates_in_one_row(self):
         state, _, _ = ragged_instance(sizes=(3, 1, 4))
-        with pytest.raises(TooFewCandidatesError):
+        with pytest.raises(EmptyBatchError):
             hard_negative_slots(state)
 
     def test_losses_finite_on_ragged_batch(self):
         for tau in (0.5, 0.02):
-            state, raw, cand_embs = ragged_instance(tau=tau)
-            src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, tau)
+            state, raw, cands = ragged_instance(tau=tau)
+            src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, tau)
             assert np.all(np.isfinite(state.entropies))
             e_b = float(np.max(state.entropies)) * 1.5
             constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
@@ -524,13 +546,14 @@ class TestPaddedBatch:
     def test_kl_rejects_mass_on_padded_slots(self):
         state, _, _ = ragged_instance()
         src = state.probs.copy()
+        assert not state.mask[0, -1]
         src[0, -1] = 0.1
-        with pytest.raises(SupportMismatchError):
+        with pytest.raises(DimMismatchError):
             _kl_grad(state, src)
 
     def test_gradient_gate_on_ragged_batch(self):
-        state, raw, cand_embs = ragged_instance()
-        src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cand_embs, state.tau)
+        state, raw, cands = ragged_instance()
+        src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, state.tau)
         e_b = 1.2 * float(np.median(state.entropies))
         w = rem_weights(state.entropies, e_b)
         n_act = int(np.count_nonzero(w))
@@ -550,7 +573,7 @@ class TestPaddedBatch:
             analytic = param_grad(state, term(state)[1])
 
             def value(theta, term=term):
-                return term(forward_state(theta[:d], theta[d:], raw, cand_embs, state.tau))[0]
+                return term(forward_state(theta[:d], theta[d:], raw, cands, state.tau))[0]
 
             numeric = finite_diff_grad(value, theta0)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from queryshift.errors import DimMismatchError, EmptyBatchError, EmptyQueueError
+from pools import pool_of
+from queryshift.errors import DimMismatchError, EmptyBatchError
 from queryshift.gallery import CentroidSet, Gallery, build_centroids, knn_table
 from queryshift.losses import forward_state
 from queryshift.refine import (
@@ -72,6 +73,11 @@ def reference_candidate_sets(batch_z, gallery, centroids, k):
     return out
 
 
+def pool_order(negs):
+    """Negative refs in pool order: gallery ids ascending, then centroids in order."""
+    return tuple(sorted(r for r in negs if r >= 0)) + tuple(r for r in negs if r < 0)
+
+
 def assert_matches_reference(batch, gallery, cents, k):
     cands = build_candidate_sets(batch, gallery, cents, k)
     ref = reference_candidate_sets(batch, gallery, cents, k)
@@ -79,14 +85,21 @@ def assert_matches_reference(batch, gallery, cents, k):
     for i, (cs, (pos, negs, embs)) in enumerate(zip(cands, ref)):
         assert cs.query_index == i
         assert cs.positive_id == pos
-        assert cs.negative_ids == tuple(negs)
+        assert set(cs.negative_ids) == set(negs)
+        assert cs.negative_ids == pool_order(negs)
         assert len(cs) == embs.shape[0]
-        assert np.array_equal(cs.candidate_embeddings, embs)
-        assert np.shares_memory(cs.candidate_embeddings, cands.embs)
-    # Padding: a prefix mask, zero rows past it.
-    sizes = cands.mask.sum(axis=1)
-    assert np.array_equal(cands.mask, np.arange(cands.mask.shape[1]) < sizes[:, None])
-    assert not cands.embs[~cands.mask].any()
+        order = [0] + [1 + negs.index(r) for r in cs.negative_ids]
+        assert np.array_equal(cs.candidate_embeddings, embs[order])
+    # The pool: unique ids, gallery ids ascending then every centroid, each
+    # row holding its positive.
+    n_gallery = cands.ids.size - cents.k
+    assert np.unique(cands.ids).size == cands.ids.size
+    assert np.all(np.diff(cands.ids[:n_gallery]) > 0) and cands.ids[0] >= 0
+    assert cands.ids[n_gallery:].tolist() == [-(j + 1) for j in range(cents.k)]
+    assert np.array_equal(cands.embs[:n_gallery], gallery.items[cands.ids[:n_gallery]])
+    assert np.array_equal(cands.embs[n_gallery:], cents.centroids)
+    assert cands.mask[np.arange(len(cands)), cands.pos].all()
+    assert cands.ids[cands.pos].tolist() == [pos for pos, _, _ in ref]
     return cands
 
 
@@ -105,7 +118,7 @@ class TestCandidatesMatchReferenceLoop:
         g = random_gallery(30, 5, 21)
         cents = build_centroids(g, 4, seed=0)
         cands = assert_matches_reference(random_queries(1, 5, 22), g, cents, 6)
-        assert cands.ids.shape == (1, 5)
+        assert cands.mask.sum() == 5
         assert cands[0].negative_ids == (-1, -2, -3, -4)
 
     def test_duplicate_queries_and_widely_shared_ids(self):
@@ -171,7 +184,7 @@ class TestBuildCandidateSet:
         for i, cs in enumerate(build_candidate_sets(batch, g, cents, 10)):
             pos, negs = oracle_candidate_ids(batch, g, 10, i)
             assert cs.positive_id == pos
-            assert [r for r in cs.negative_ids if r >= 0] == negs
+            assert [r for r in cs.negative_ids if r >= 0] == sorted(negs)
             assert len(cs) <= 1 + 3 * 10 + 10
 
     def test_no_duplicate_references(self):
@@ -194,7 +207,7 @@ class TestBuildCandidateSet:
 def refined(q, cs, tau):
     """Identity-adapter forward pass of one query over one candidate set."""
     d = q.shape[0]
-    return forward_state(np.ones(d), np.zeros(d), q[None], [cs.candidate_embeddings], tau)
+    return forward_state(np.ones(d), np.zeros(d), q[None], pool_of([cs.candidate_embeddings]), tau)
 
 
 class TestRefinedPrediction:
@@ -394,5 +407,5 @@ class TestEstimateConstraints:
         assert a.entropy_threshold == b.entropy_threshold
 
     def test_empty_queue_raises(self):
-        with pytest.raises(EmptyQueueError):
+        with pytest.raises(EmptyBatchError):
             estimate_constraints(empty(4))

@@ -5,12 +5,7 @@ import pytest
 
 from queryshift import gallery as gallery_mod
 from queryshift.adapt import AdapterParams, forward_adapter
-from queryshift.errors import (
-    DimMismatchError,
-    EmptyBatchError,
-    InvalidSpecError,
-    MissingQueryError,
-)
+from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
 from queryshift.synth import (
     CorruptionSpec,
     GroundTruth,
@@ -464,7 +459,7 @@ class TestMetrics:
 
     def test_recall_missing_query(self):
         truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
-        with pytest.raises(MissingQueryError):
+        with pytest.raises(DimMismatchError):
             recall_at_k(np.array([[0]]), truth, 1)
 
     def test_metrics_invariant_under_consistent_permutation(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryshift.errors import NonPositiveTemperatureError, ZeroVectorError
+from queryshift.errors import InvalidSpecError, ZeroVectorError
 from queryshift.vectors import l2_normalize_rows, shannon_entropy, softmax_temp
 
 
@@ -50,7 +50,7 @@ class TestSoftmaxTemp:
 
     def test_non_positive_temperature(self):
         for tau in (0.0, -1.0):
-            with pytest.raises(NonPositiveTemperatureError):
+            with pytest.raises(InvalidSpecError):
                 softmax_temp([1.0, 0.0], tau)
 
     @given(
