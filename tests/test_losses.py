@@ -217,8 +217,12 @@ class TestLossRhm:
 
 
 class TestConsistencyPair:
-    def test_exact_positive_one_and_orthogonal_negative_half(self):
-        # With weight 1 the hard-mining value is ln c_neg - ln c_pos = ln(0.5 / 1).
+    # With weight 1 the hard-mining value is ln c_neg - ln c_pos.
+    def test_exact_positive(self):
+        # A negative at cosine 0.6 has c_neg = 0.8, so the value is ln 0.8 only if c_pos = 1.
+        assert rhm_value([[1.0, 0.6]], 0.5) == pytest.approx(math.log(0.8), abs=1e-12)
+
+    def test_orthogonal_negative_is_half(self):
         state = hand_state([[1.0, 0.0]], 0.5)
         assert hard_negative_slots(state).tolist() == [1]
         assert rhm_value([[1.0, 0.0]], 0.5) == pytest.approx(math.log(0.5), abs=1e-12)
