@@ -22,9 +22,12 @@ _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-6
 
 # Most float64 scores one query x gallery pass holds at once (4 MB), so memory
-# stays flat in the number of queries. Top-k selection allocates one int64 id
-# per score on top of that.
+# stays flat in the number of queries. Top-k selection allocates one bool per
+# score on top of that, plus the few scores at or above each row's floor.
 SCORE_BLOCK = 1 << 19
+
+# Widest group of scores in _topk; group maxima floor a row's k-th score.
+_TOPK_GROUP = 16
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -90,11 +93,14 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
     Each row lists the ``k`` most similar gallery ids in decreasing
     similarity; equal similarities go to the lower gallery id, including at
     the k-th place. ``k = gallery.size`` gives the full ranking. Queries are
-    scored in row blocks of at most ``SCORE_BLOCK`` similarities.
+    scored in row blocks of at most ``SCORE_BLOCK`` similarities; a query
+    that is not finite raises ValueError.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != gallery.dim:
         raise DimMismatchError("query batch does not match gallery dim")
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query batch contains non-finite entries")
     if not 1 <= k <= gallery.size:
         raise InvalidKError(f"k={k} outside [1, {gallery.size}]")
     n = queries.shape[0]
@@ -116,20 +122,27 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def _topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the ``k`` highest scores of each row, ordered by (-score, id)."""
-    n = scores.shape[1]
-    ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-    top = np.take_along_axis(scores, ids, axis=1)
-    kth = top.min(axis=1)
-    # argpartition picks arbitrarily among scores equal to the k-th. Where
-    # such ties reach past the cut, reselect the row from every entry scoring
-    # at least the k-th, so that the lower ids win.
-    for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > k):
-        cand = np.flatnonzero(scores[r] >= kth[r])
-        ids[r] = cand[np.argsort(-scores[r, cand], kind="stable")[:k]]
-        top[r] = scores[r, ids[r]]
-    order = np.lexsort((ids, -top), axis=1)
-    return np.take_along_axis(ids, order, axis=1)
+    """Ids of the ``k`` highest scores of each row, ordered by (-score, id).
+
+    Scores must be finite. Each row splits into ``m >= k`` groups of ``g``
+    scores. The k groups with the highest maxima each hold a score at or
+    above the k-th highest maximum, so every top-k score reaches that floor;
+    only the scores at or above it are sorted.
+    """
+    b, n = scores.shape
+    g = max(1, min(_TOPK_GROUP, n // (4 * k)))
+    m = n // g
+    group_max = scores[:, : m * g].reshape(b, g, m).max(axis=1)
+    floor = np.partition(group_max, m - k, axis=1)[:, m - k]
+    # Candidates come out row by row, each row's in ascending id order.
+    row, col = np.divmod(np.flatnonzero(scores >= floor[:, None]), n)
+    counts = np.bincount(row, minlength=b)
+    starts = np.cumsum(counts) - counts
+    keys = np.full((b, counts.max()), np.inf)
+    keys[row, np.arange(row.size) - starts[row]] = -scores[row, col]
+    # A stable sort gives equal scores to the lower id, at the k-th place too.
+    order = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    return col[starts[:, None] + order]
 
 
 def _min_sq_dist(

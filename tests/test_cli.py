@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csr import csr_rows
 from queryshift import adapt, cli
 from queryshift.cli import (
     _config_echo,
@@ -185,7 +186,7 @@ class TestGroundTruthFile:
             path.write_bytes(random_truth_text(rng, n, g).encode("utf-8"))
             want = read_ground_truth_by_lines(path, n, g)
             truth = read_ground_truth(path, n, g)
-            assert truth.relevant == want
+            assert csr_rows(truth) == [sorted(r) for r in want]
             assert truth.indices.tolist() == [i for rel in want for i in sorted(rel)]
 
     def test_duplicates_collapse_and_rows_sort(self, tmp_path):
@@ -238,7 +239,8 @@ class TestGroundTruthFile:
         # np.loadtxt rejects these; the line-by-line path reads them with int().
         path = tmp_path / "gt.tsv"
         path.write_text(f"\n0\t{field}\n", encoding="utf-8")
-        assert read_ground_truth(path, 1, 20).relevant == read_ground_truth_by_lines(path, 1, 20)
+        want = [sorted(r) for r in read_ground_truth_by_lines(path, 1, 20)]
+        assert csr_rows(read_ground_truth(path, 1, 20)) == want
 
     def test_float_read_with_deprecation_falls_back_to_lines(self, tmp_path, monkeypatch):
         # numpy 1.x reads an int64 field such as 1.9 through float and only
@@ -261,7 +263,7 @@ class TestGroundTruthFile:
         with pytest.raises(BadInputError, match=r"gt\.tsv:3: non-integer index"):
             read_ground_truth(path, 1, 4)
         path.write_text("0\u3000\t\xa01\n", encoding="utf-8")
-        assert read_ground_truth(path, 1, 4).relevant == (frozenset({1}),)
+        assert csr_rows(read_ground_truth(path, 1, 4)) == [[1]]
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "gt.tsv"
@@ -274,7 +276,7 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.tsv"
         write_ground_truth(path, truth)
         back = read_ground_truth(path, 2, 4)
-        assert back.relevant == truth.relevant
+        assert csr_rows(back) == csr_rows(truth) == [[1, 3], [0]]
 
     def test_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "gt.tsv"

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from queryshift import gallery as gallery_mod
 from queryshift.errors import DimMismatchError, InvalidKError
@@ -234,6 +237,13 @@ class TestKnn:
         with pytest.raises(DimMismatchError):
             knn_table(g, np.ones((1, 4)), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_query(self, bad):
+        g = random_gallery(40, 4, 0)
+        queries = np.vstack([g.items[:2], [[bad, 0.0, 0.0, 0.0]]])
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_table(g, queries, 5)
+
     def test_table_matches_single(self):
         g = random_gallery(64, 6, 14)
         rng = np.random.default_rng(15)
@@ -284,3 +294,92 @@ class TestKnn:
             assert len(list(gallery_mod._row_blocks(11, 24))) >= 3
             for k, want in whole.items():
                 assert np.array_equal(knn_table(g, queries, k), want)
+
+
+def lexsort_oracle(scores, k):
+    """Each row's ids ordered by (-score, id), cut at k."""
+    ids = np.arange(scores.shape[1])
+    return np.array([np.lexsort((ids, -row))[:k] for row in scores], dtype=np.int64)
+
+
+class TestTopkFloor:
+    """Exact top-k where the group-maximum floor groups scores.
+
+    For k = 1, 10 and 50 the group width is 16, 12 and 2 at n = 512 and
+    16, 16 and 10 at n = 2000; k = n takes every score as a candidate.
+    """
+
+    @pytest.mark.parametrize("n", [512, 2000, 2003])
+    @pytest.mark.parametrize("k", [1, 10, 50, "n"])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_random_rows(self, n, k, decimals):
+        k = n if k == "n" else k
+        scores = np.random.default_rng(n + k).standard_normal((8, n))
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        assert np.array_equal(gallery_mod._topk(scores, k), lexsort_oracle(scores, k))
+
+    def test_tied_instance_at_the_cut(self):
+        rng = np.random.default_rng(20)
+        g, queries = tied_instance(rng, 600, 12)
+        full = [linear_scan_oracle(g.items, q, g.size) for q in queries]
+        for k in (1, 10, 50, 600):
+            assert knn_table(g, queries, k).tolist() == [row[:k] for row in full]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "duplicates",  # 250 distinct rows, each repeated at random places
+            "class_periodic",  # item i in class i mod 64
+            "class_sorted",  # the same classes, each contiguous
+        ],
+    )
+    def test_repeated_gallery_rows(self, layout):
+        rng = np.random.default_rng(21)
+        n = 2000
+        if layout == "duplicates":
+            base, source = random_gallery(250, 8, 22), rng.integers(0, 250, n)
+        else:
+            base, source = random_gallery(64, 8, 23), np.arange(n) % 64
+            if layout == "class_sorted":
+                source = np.sort(source)
+        queries = l2_normalize_rows(rng.standard_normal((16, 8)))
+        # Gather the scores, so that a repeated row ties exactly.
+        scores = (queries @ base.items.T)[:, source]
+        for k in (1, 10, 50, n):
+            assert np.array_equal(gallery_mod._topk(scores, k), lexsort_oracle(scores, k))
+
+    @pytest.mark.parametrize("n", [512, 2000, 2003])
+    def test_rising_rows(self, n):
+        # The top scores take the highest ids: one tail of the row, and past
+        # the grouped columns when g does not divide n.
+        scores = np.sort(np.random.default_rng(24).standard_normal((4, n)), axis=1)
+        for k in (1, 10, 50):
+            assert gallery_mod._topk(scores, k).tolist() == [list(range(n - 1, n - k - 1, -1))] * 4
+
+    @pytest.mark.parametrize("k", [1, 10, 16])
+    def test_top_scores_in_one_group(self, k):
+        # Group 7 holds g >= k scores above all others, so one group maximum
+        # sits over the whole top-k.
+        n = 2000
+        m = n // min(gallery_mod._TOPK_GROUP, n // (4 * k))
+        scores = np.random.default_rng(25).random((4, n))
+        scores[:, 7::m] += 2.0
+        assert np.array_equal(gallery_mod._topk(scores, k), lexsort_oracle(scores, k))
+        assert set(gallery_mod._topk(scores, k).ravel()) <= set(range(7, n, m))
+
+    @pytest.mark.parametrize("n", [512, 2000])
+    def test_all_equal_rows(self, n):
+        for k in (1, 10, 50, n):
+            assert gallery_mod._topk(np.full((3, n), 0.25), k).tolist() == [list(range(k))] * 3
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quantized_scores_match_sort_oracle(self, data):
+        b = data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(1, 300))
+        k = data.draw(st.integers(1, n))
+        levels = data.draw(st.integers(1, 6))
+        scores = data.draw(arrays(np.int8, (b, n), elements=st.integers(-levels, levels)))
+        scores = scores.astype(np.float64)
+        assert np.array_equal(gallery_mod._topk(scores, k), lexsort_oracle(scores, k))

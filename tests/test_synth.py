@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from csr import csr_rows
 from queryshift import gallery as gallery_mod
 from queryshift.adapt import AdapterParams, forward_adapter
 from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
@@ -34,7 +35,7 @@ def consistency_by_pairs(z_q, z_g, truth):
     """Reference metric_consistency: one dot product per relevant pair."""
     total = 0.0
     count = 0
-    for qi, rel in enumerate(truth.relevant):
+    for qi, rel in enumerate(csr_rows(truth)):
         for gi in rel:
             total += float(np.dot(z_q[qi], z_g[gi]))
             count += 1
@@ -77,7 +78,7 @@ class TestGenerateBenchmark:
         g2, s2, t2 = generate_benchmark(spec)
         assert np.array_equal(g1.items, g2.items)
         assert np.array_equal(s1, s2)
-        assert t1.relevant == t2.relevant
+        assert csr_rows(t1) == csr_rows(t2)
 
     def test_reference_scale_zero_shot_recall(self):
         # Pinned from a one-time run of the source-model oracle at this spec.
@@ -93,7 +94,7 @@ class TestGenerateBenchmark:
     def test_every_query_has_relevant_items(self):
         spec = SyntheticSpec(classes=5, dim=8, gallery_size=17, stream_length=9, seed=3)
         _, _, truth = generate_benchmark(spec)
-        assert all(len(r) >= 1 for r in truth.relevant)
+        assert len(truth) == 9 and all(len(r) >= 1 for r in csr_rows(truth))
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
@@ -110,10 +111,11 @@ class TestGroundTruth:
         for _ in range(20):
             relevant = random_relevant(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
             truth = GroundTruth.from_sets(relevant)
-            assert truth.relevant == relevant
+            want = [sorted(r) for r in relevant]
+            assert csr_rows(truth) == want
             assert len(truth) == len(relevant)
             back = GroundTruth(indptr=truth.indptr, indices=truth.indices)
-            assert back.relevant == relevant
+            assert csr_rows(back) == want
 
     def test_arrays_are_read_only_sorted_int64(self):
         truth = GroundTruth.from_sets([{5, 1, 3}, [2, 2, 0]])
@@ -150,7 +152,7 @@ class TestGroundTruth:
 
     def test_rows_may_restart_lower(self):
         truth = GroundTruth(indptr=[0, 2, 3], indices=[4, 7, 1])
-        assert truth.relevant == (frozenset({4, 7}), frozenset({1}))
+        assert csr_rows(truth) == [[4, 7], [1]]
 
     def test_slices_are_row_ranges(self):
         rng = np.random.default_rng(21)
@@ -158,7 +160,7 @@ class TestGroundTruth:
         truth = GroundTruth.from_sets(relevant)
         for a, b in [(0, 13), (0, 5), (5, 13), (4, 9), (12, 13), (10, 40), (6, 6)]:
             part = truth[a:b]
-            assert part.relevant == relevant[a:b]
+            assert csr_rows(part) == [sorted(r) for r in relevant[a:b]]
             assert part.indptr[0] == 0
         with pytest.raises(ValueError):
             truth[::2]
@@ -180,9 +182,9 @@ class TestGroundTruth:
     def test_generated_rows_are_whole_classes(self):
         spec = SyntheticSpec(classes=5, dim=8, gallery_size=23, stream_length=40, seed=4)
         _, _, truth = generate_benchmark(spec)
-        for rel in truth.relevant:
-            cls = min(rel) % 5
-            assert rel == frozenset(range(cls, 23, 5))
+        for rel in csr_rows(truth):
+            cls = rel[0] % 5
+            assert rel == list(range(cls, 23, 5))
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_count_hits_matches_set_oracle(self, k):
@@ -470,7 +472,8 @@ class TestMetrics:
             frozenset({int(rng.integers(0, 9))}) for _ in range(6)
         )
         perm = rng.permutation(6)
-        truth_p = GroundTruth.from_sets(tuple(truth.relevant[i] for i in perm))
+        rows = csr_rows(truth)
+        truth_p = GroundTruth.from_sets(rows[i] for i in perm)
         a = metric_consistency(z_q, z_g, truth)
         b = metric_consistency(z_q[perm], z_g, truth_p)
         assert a == pytest.approx(b, abs=1e-12)
