@@ -89,8 +89,9 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise InvalidSpecError(f"tau must be finite and > 0, got {self.tau}")
+        # Scores are divided by tau: a subnormal tau is > 0, but 1/tau overflows.
+        if not (math.isfinite(self.tau) and self.tau > 0 and math.isfinite(1 / self.tau)):
+            raise InvalidSpecError(f"tau and 1/tau must be finite and > 0, got {self.tau}")
         if self.k < 1:
             raise InvalidSpecError(f"k must be >= 1, got {self.k}")
         if self.batch < 1:
@@ -208,27 +209,20 @@ class AdaptationSession:
     Batches must be fed sequentially; any error raised mid-batch leaves the
     parameters (and queue) exactly as they were before the call. The gallery
     centroids are built by the first batch that builds candidates, so a
-    ``none`` run never runs k-means; ``centroids`` passed in are used as given.
+    ``none`` run never runs k-means.
 
     At the source point (parameters bit for bit the source ones, as on the first
     batch) the source predictions are the current ones: one forward pass runs,
     and the KL and the general direction of ``rest`` are exactly zero.
     """
 
-    def __init__(
-        self,
-        gallery: Gallery,
-        config: SessionConfig,
-        centroids: CentroidSet | None = None,
-    ):
+    def __init__(self, gallery: Gallery, config: SessionConfig):
         if gallery.size < config.k + 1:
             raise InvalidKError(
                 f"gallery of {gallery.size} items cannot serve k={config.k}"
             )
         self.gallery = gallery
         self.config = config
-        if centroids is not None:
-            self.centroids = centroids
         self.params = AdapterParams.identity(gallery.dim)
         self.source_params = AdapterParams.identity(gallery.dim)
         self.queue = SourceLikeQueue.empty(config.batch, gallery.dim)

@@ -35,7 +35,6 @@ from .synth import (
     GroundTruth,
     SyntheticSpec,
     corrupt_stream,
-    count_hits,
     generate_benchmark,
     metric_consistency,
     metric_gap,
@@ -297,14 +296,14 @@ def _corruption_echo(c: CorruptionSpec) -> dict:
 
 def _synthesize(cfg: RunConfig):
     """Gallery, clean and corrupted raw query streams, and ground truth of the
-    synth block; a block whose values cannot be normalized is a bad config."""
+    synth block; a block whose arrays cannot be allocated or normalized is a bad config."""
     # Values too large for float64 overflow; the row-norm checks catch them.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             gallery, stream, truth = generate_benchmark(cfg.synth)
             corrupted = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
             l2_normalize_rows(corrupted)
-    except (QueryShiftError, ValueError) as exc:
+    except (QueryShiftError, ValueError, MemoryError) as exc:
         raise BadConfigError(f"config.synth: {exc}") from exc
     return gallery, stream, corrupted, truth
 
@@ -327,16 +326,29 @@ def _load_inputs(cfg: RunConfig):
     return gallery, stream, truth
 
 
-def _stream_metrics(z: np.ndarray, gallery: Gallery, truth: GroundTruth) -> dict:
-    rankings = knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
+def _rank(gallery: Gallery, z: np.ndarray) -> np.ndarray:
+    """Top ``min(RANK_DEPTH, gallery.size)`` gallery ids of each row of ``z``."""
+    return knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
+
+
+def _stream_metrics(z: np.ndarray, rankings: np.ndarray, gallery: Gallery,
+                    truth: GroundTruth) -> dict:
+    """Geometry metrics of the embeddings ``z`` and recall of their ``rankings``."""
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.center),
         "consistency": metric_consistency(z, gallery.items, truth),
-        "recall": {
-            str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS
-        },
+        "recall": {str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS},
     }
+
+
+def _report(cfg: RunConfig, body) -> dict:
+    """The report of a stream command: schema, config echo and wall clock
+    around ``body(gallery, stream, truth)`` of the loaded inputs."""
+    started = time.monotonic()
+    report = {"schema": 1, "config": _config_echo(cfg), **body(*_load_inputs(cfg))}
+    report["wall_clock_seconds"] = time.monotonic() - started
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -368,97 +380,76 @@ def cmd_synth(cfg: RunConfig, out_dir) -> dict:
 
 
 def cmd_adapt(cfg: RunConfig) -> dict:
-    """Stream the queries through the configured method and report everything."""
-    started = time.monotonic()
-    gallery, stream, truth = _load_inputs(cfg)
-    session = AdaptationSession(gallery, cfg)
+    """Stream the queries through the configured method and report everything.
 
-    z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-    initial = _stream_metrics(z0, gallery, truth)
+    Each batch's rankings on arrival are the online result: the report's recall
+    scores them, and so does the ``initial`` of ``none``, which never steps.
+    """
+    def body(gallery, stream, truth):
+        session = AdaptationSession(gallery, cfg)
+        series: dict = {}
+        ranked = []
+        for start in range(0, stream.shape[0], cfg.batch):
+            raw = stream[start : start + cfg.batch]
+            if cfg.method == "rest":
+                result = session.adapt_batch(raw)
+            else:
+                result = session.run_baseline(raw, cfg.method)
+            ranked.append(result.rankings)
 
-    series: dict = {}
-    hits = {k: 0 for k in _RECALL_KS}
-    n = stream.shape[0]
-    for start in range(0, n, cfg.batch):
-        raw = stream[start : start + cfg.batch]
-        if cfg.method == "rest":
-            result = session.adapt_batch(raw)
+            batch_truth = truth[start : start + cfg.batch]
+            row = dataclasses.asdict(result.diagnostics)
+            bd = result.breakdown
+            for term in ("l_u", "l_g", "l_rem", "l_rhm"):
+                row[term] = None if bd is None else getattr(bd, term)
+            row["uniformity"] = metric_uniformity(result.z)
+            row["gap"] = metric_gap(result.z, gallery.center)
+            row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth)
+            row["recall_1"] = recall_at_k(result.rankings, batch_truth, 1)
+            for key, value in row.items():
+                series.setdefault(key, []).append(value)
+
+        rankings = np.concatenate(ranked)
+        z0 = forward_adapter(session.source_params, stream)
+        if cfg.method == "none":
+            initial = _stream_metrics(z0, rankings, gallery, truth)
+            final = copy.deepcopy(initial)
         else:
-            result = session.run_baseline(raw, cfg.method)
+            initial = _stream_metrics(z0, _rank(gallery, z0), gallery, truth)
+            z = forward_adapter(session.params, stream)
+            final = _stream_metrics(z, _rank(gallery, z), gallery, truth)
+            if cfg.method == "rest":
+                final["delta_s"] = series["delta_s"][-1]
+                final["e_b"] = series["e_b"][-1]
+        recall = {str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS}
+        return {"recall": recall, "initial": initial, "final": final, "series": series}
 
-        batch_truth = truth[start : start + cfg.batch]
-        batch_hits = {k: count_hits(result.rankings, batch_truth, k) for k in _RECALL_KS}
-        for k in _RECALL_KS:
-            hits[k] += batch_hits[k]
-
-        row = dataclasses.asdict(result.diagnostics)
-        bd = result.breakdown
-        for term in ("l_u", "l_g", "l_rem", "l_rhm"):
-            row[term] = None if bd is None else getattr(bd, term)
-        row["uniformity"] = metric_uniformity(result.z)
-        row["gap"] = metric_gap(result.z, gallery.center)
-        row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth)
-        row["recall_1"] = batch_hits[1] / len(batch_truth)
-        for key, value in row.items():
-            series.setdefault(key, []).append(value)
-
-    if cfg.method == "none":
-        # The parameters never leave identity, so the stream scores as it did.
-        final = copy.deepcopy(initial)
-    else:
-        final = _stream_metrics(forward_adapter(session.params, stream), gallery, truth)
-
-    report = {
-        "schema": 1,
-        "config": _config_echo(cfg),
-        "recall": {str(k): hits[k] / n for k in _RECALL_KS},
-        "initial": initial,
-        "final": final,
-        "series": series,
-        "wall_clock_seconds": time.monotonic() - started,
-    }
-    if cfg.method == "rest":
-        report["final"]["delta_s"] = series["delta_s"][-1]
-        report["final"]["e_b"] = series["e_b"][-1]
-    return report
+    return _report(cfg, body)
 
 
 def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     """Evaluate scale/offset probes of the non-adapting source embeddings."""
-    started = time.monotonic()
-    gallery, stream, truth = _load_inputs(cfg)
-    z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
+    def body(gallery, stream, truth):
+        z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
 
-    scale_rows = []
-    for lam in lambda_scale:
-        row = {"lambda": float(lam)}
-        row.update(_stream_metrics(scale_queries(z0, float(lam)), gallery, truth))
-        scale_rows.append(row)
-    offset_rows = []
-    for lam in lambda_offset:
-        row = {"lambda": float(lam)}
-        row.update(_stream_metrics(offset_queries(z0, gallery.center, float(lam)), gallery, truth))
-        offset_rows.append(row)
+        def row(lam, z):
+            return {"lambda": lam, **_stream_metrics(z, _rank(gallery, z), gallery, truth)}
 
-    return {
-        "schema": 1,
-        "config": _config_echo(cfg),
-        "probe": {"scale": scale_rows, "offset": offset_rows},
-        "wall_clock_seconds": time.monotonic() - started,
-    }
+        scale = [row(lam, scale_queries(z0, lam)) for lam in map(float, lambda_scale)]
+        offset = [row(lam, offset_queries(z0, gallery.center, lam))
+                  for lam in map(float, lambda_offset)]
+        return {"probe": {"scale": scale, "offset": offset}}
+
+    return _report(cfg, body)
 
 
 def cmd_metrics(cfg: RunConfig) -> dict:
     """One-shot metrics of the source embeddings against the gallery."""
-    started = time.monotonic()
-    gallery, stream, truth = _load_inputs(cfg)
-    z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-    return {
-        "schema": 1,
-        "config": _config_echo(cfg),
-        "metrics": _stream_metrics(z0, gallery, truth),
-        "wall_clock_seconds": time.monotonic() - started,
-    }
+    def body(gallery, stream, truth):
+        z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
+        return {"metrics": _stream_metrics(z0, _rank(gallery, z0), gallery, truth)}
+
+    return _report(cfg, body)
 
 
 def cmd_gradcheck(seed: int, perturb: float = 0.0) -> dict:
@@ -527,24 +518,17 @@ def main(argv=None) -> int:
         if args.command == "synth":
             if not args.out:
                 raise BadConfigError("synth requires --out <directory>")
-            report = cmd_synth(cfg, args.out)
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _emit(cmd_synth(cfg, args.out), None)
             return 0
         if args.command == "adapt":
-            _emit(cmd_adapt(cfg), args.out)
-            return 0
-        if args.command == "probe":
-            report = cmd_probe(
-                cfg,
-                _parse_lambdas(args.lambda_scale, positive=True),
-                _parse_lambdas(args.lambda_offset),
-            )
-            _emit(report, args.out)
-            return 0
-        if args.command == "metrics":
-            _emit(cmd_metrics(cfg), args.out)
-            return 0
-        raise BadConfigError(f"unknown command {args.command!r}")
+            report = cmd_adapt(cfg)
+        elif args.command == "probe":
+            scale = _parse_lambdas(args.lambda_scale, positive=True)
+            report = cmd_probe(cfg, scale, _parse_lambdas(args.lambda_offset))
+        else:
+            report = cmd_metrics(cfg)
+        _emit(report, args.out)
+        return 0
     except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

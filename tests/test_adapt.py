@@ -476,7 +476,8 @@ class TestLazyCentroids:
         gallery, stream, _ = small_benchmark(seed=9)
         given = build_centroids(gallery, 3, seed=99)
         refuse_build_centroids(monkeypatch)
-        session = AdaptationSession(gallery, SessionConfig(k=4, batch=16), centroids=given)
+        session = AdaptationSession(gallery, SessionConfig(k=4, batch=16))
+        session.centroids = given
         session.adapt_batch(stream[:16])
         session.run_baseline(stream[16:32], "tent")
         assert session.centroids is given

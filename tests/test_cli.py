@@ -556,6 +556,28 @@ class TestCmdAdapt:
         assert report["final"] is not report["initial"]
         assert report["final"]["recall"] is not report["initial"]["recall"]
 
+    @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
+    def test_whole_stream_rankings_only_where_parameters_moved(self, monkeypatch, method):
+        # 384 queries in batches of 16: each batch is ranked once as it
+        # arrives. Only a method that steps ranks the whole stream, at the
+        # source and at the final parameters.
+        calls = []
+
+        def counted(where, rank):
+            def call(gallery, z, k):
+                calls.append((where, len(z)))
+                return rank(gallery, z, k)
+            return call
+
+        monkeypatch.setattr(adapt, "knn_table", counted("batch", adapt.knn_table))
+        monkeypatch.setattr(cli, "knn_table", counted("stream", cli.knn_table))
+        cfg = config_dict(method=method, batch=16)
+        cfg["synth"].update(gallery_size=128, stream_length=384)
+        report = cmd_adapt(parse_config(cfg))
+        whole = [] if method == "none" else [("stream", 384)] * 2
+        assert sorted(calls) == [("batch", 16)] * 24 + whole
+        assert len(report["series"]["recall_1"]) == 24
+
     def test_rest_first_step_source_coincidence(self):
         cfg = parse_config(config_dict(method="rest", decouple=True))
         report = cmd_adapt(cfg)
@@ -673,7 +695,7 @@ class TestCmdGradcheckAndMetrics:
         truth = GroundTruth.from_sets(tuple(by_class[i % 64] for i in range(2048)))
         tracemalloc.start()
         try:
-            metrics = _stream_metrics(z, gallery, truth)
+            metrics = _stream_metrics(z, cli._rank(gallery, z), gallery, truth)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -822,6 +844,42 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), command, "--out", str(out), *flags]) in (2, 3)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["rest", "tent", "pl", "none"])
+    @pytest.mark.parametrize("tau", [1e-320, 5e-309])
+    def test_tau_without_finite_inverse_exits_two(self, tmp_path, capsys, tau, method):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict(method=method, tau=tau)), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: tau"), err
+
+    @pytest.mark.parametrize("method", ["rest", "none"])
+    # Scores over 6e-309 reach ~1.7e308; the softmax shift of the lowest
+    # overflows to -inf, whose exp is the exact 0 it stands for.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_smallest_tau_with_finite_inverse_runs(self, tmp_path, method):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict(method=method, tau=6e-309)), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "adapt", "--out", str(tmp_path / "r.json")]) == 0
+
+    # The first array of each block needs over 1 PB, past the 128 TiB user
+    # address space, so its allocation fails at once whatever the overcommit
+    # policy. Never test a size near RAM.
+    @pytest.mark.parametrize("command", ["synth", "adapt", "probe", "metrics"])
+    @pytest.mark.parametrize(
+        "over",
+        [{"gallery_size": 10**15}, {"classes": 2, "dim": 10**14}],
+        ids=["gallery_size", "dim"],
+    )
+    def test_synth_too_large_to_allocate_exits_two(self, tmp_path, capsys, command, over):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(synth_config_dict(**over)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config.synth:"), err
         assert not out.exists()
 
     @pytest.mark.parametrize(
