@@ -39,7 +39,10 @@ def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:
     if not tau > 0:
         raise InvalidSpecError(f"temperature must be > 0, got {tau}")
     s = np.asarray(scores, dtype=np.float64) / tau
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    # At a tiny tau the shift of the lowest scores can overflow to -inf,
+    # whose exp is the exact 0 it stands for.
+    with np.errstate(over="ignore"):
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

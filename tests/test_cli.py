@@ -855,10 +855,9 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: tau"), err
 
-    @pytest.mark.parametrize("method", ["rest", "none"])
     # Scores over 6e-309 reach ~1.7e308; the softmax shift of the lowest
-    # overflows to -inf, whose exp is the exact 0 it stands for.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    # overflows to -inf, which must pass without a RuntimeWarning.
+    @pytest.mark.parametrize("method", ["rest", "tent", "pl", "none"])
     def test_smallest_tau_with_finite_inverse_runs(self, tmp_path, method):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_dict(method=method, tau=6e-309)), encoding="utf-8")

@@ -296,6 +296,98 @@ class TestKnn:
                 assert np.array_equal(knn_table(g, queries, k), want)
 
 
+class TestKnnScreened(TestKnn):
+    """The same checks through the float32 screen and the float64 re-score."""
+
+    @pytest.fixture(autouse=True)
+    def screen_every_gallery(self, monkeypatch):
+        monkeypatch.setattr(gallery_mod, "_SCREEN_MIN_ITEMS", 1)
+
+    def test_tied_instance_at_the_cut(self):
+        TestTopkFloor.test_tied_instance_at_the_cut(self)
+
+
+def repeated_row_gallery(rng, n, d):
+    """A gallery of n rows drawn with repeats from 64-511 distinct unit rows."""
+    base = l2_normalize_rows(rng.standard_normal((int(rng.integers(64, 512)), d)))
+    return Gallery(base[rng.integers(0, len(base), n)])
+
+
+def rotated_axis_instance(rng, n, d, near):
+    """Items whose cosine with one query is their first coordinate, rotated.
+
+    ``near`` (a list of first coordinates) fills random ids; the other rows
+    take first coordinates in [-1, 0.5]. Returns the gallery and the query.
+    """
+    first = rng.uniform(-1.0, 0.5, n)
+    first[rng.choice(n, len(near), replace=False)] = near
+    rest = l2_normalize_rows(rng.standard_normal((n, d - 1))) * np.sqrt(1 - first**2)[:, None]
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    items = np.hstack([first[:, None], rest]) @ rotation
+    return Gallery(l2_normalize_rows(items)), rotation[0]
+
+
+class TestScreen:
+    """The float32 screen of galleries with at least _SCREEN_MIN_ITEMS items."""
+
+    def test_threshold_decides_the_path(self):
+        small = random_gallery(gallery_mod._SCREEN_MIN_ITEMS - 1, 4, 30)
+        large = random_gallery(gallery_mod._SCREEN_MIN_ITEMS, 4, 30)
+        for g in (small, large):
+            knn_table(g, g.items[:3], 5)
+        assert "items_t32" not in vars(small)
+        t32 = vars(large)["items_t32"]
+        assert t32.dtype == np.float32 and t32.flags.c_contiguous and not t32.flags.writeable
+        assert np.array_equal(t32, large.items.T.astype(np.float32))
+
+    def test_repeated_rows_keep_the_tie_rule_and_batch_independence(self):
+        # Identical rows must score identically wherever they sit in the
+        # gallery and whatever else is in the batch. A float64 product of a
+        # 64-row block and the whole gallery does not guarantee either.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = repeated_row_gallery(rng, int(rng.integers(4096, 8192)), 32)
+            _, group = np.unique(g.items, axis=0, return_inverse=True)
+            group = group.ravel()
+            queries = rng.standard_normal((64, 32))
+            table = knn_table(g, queries, 50)
+            for q, row in zip(queries, table):
+                for pos, j in enumerate(row):
+                    twins = np.flatnonzero(group[:j] == group[j])
+                    assert set(twins) <= set(row[:pos].tolist()), (seed, j)
+                assert np.array_equal(knn_table(g, q[None], 50)[0], row), seed
+
+    @pytest.mark.parametrize("spacing", [1e-9, 1e-7])
+    def test_near_ties_within_the_float32_bound(self, spacing):
+        # Forty first coordinates closer than float32 can tell apart around
+        # 0.8, but far apart in float64; the k-th score falls among them.
+        rng = np.random.default_rng(31)
+        near = 0.8 + spacing * rng.permutation(40)
+        g, q = rotated_axis_instance(rng, 4100, 16, near)
+        queries = np.vstack([q, 3.0 * q, 1e-3 * q + 1e-12])
+        for k in (1, 10, 40):
+            assert knn_table(g, queries, k).tolist() == [
+                linear_scan_oracle(g.items, row, k) for row in queries
+            ]
+
+    def test_extreme_and_zero_query_rows(self):
+        g = random_gallery(4096, 8, 32)
+        rng = np.random.default_rng(33)
+        unit = l2_normalize_rows(rng.standard_normal((3, 8)))
+        queries = np.vstack([1e300 * unit, 1e-300 * unit, np.zeros((1, 8))])
+        table = knn_table(g, queries, 10)
+        assert table.tolist() == [linear_scan_oracle(g.items, row, 10) for row in queries]
+        assert table[-1].tolist() == list(range(10))
+        assert np.array_equal(table[:3], table[3:6])
+
+    def test_full_ranking(self):
+        g = random_gallery(4096, 8, 34)
+        queries = l2_normalize_rows(np.random.default_rng(35).standard_normal((3, 8)))
+        assert knn_table(g, queries, g.size).tolist() == [
+            linear_scan_oracle(g.items, q, g.size) for q in queries
+        ]
+
+
 def lexsort_oracle(scores, k):
     """Each row's ids ordered by (-score, id), cut at k."""
     ids = np.arange(scores.shape[1])
