@@ -35,12 +35,14 @@ from .synth import (
     GroundTruth,
     SyntheticSpec,
     corrupt_stream,
+    first_hits,
     generate_benchmark,
     metric_consistency,
     metric_gap,
     metric_uniformity,
     offset_queries,
-    recall_at_k,
+    recall_of_hits,
+    relevant_sums,
     scale_queries,
 )
 from .vectors import l2_normalize_rows
@@ -331,15 +333,23 @@ def _rank(gallery: Gallery, z: np.ndarray) -> np.ndarray:
     return knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
 
 
-def _stream_metrics(z: np.ndarray, rankings: np.ndarray, gallery: Gallery,
-                    truth: GroundTruth) -> dict:
-    """Geometry metrics of the embeddings ``z`` and recall of their ``rankings``."""
+def _stream_metrics(z: np.ndarray, sums: np.ndarray, gallery: Gallery, truth: GroundTruth,
+                    hits: np.ndarray | None = None) -> dict:
+    """Geometry metrics of the embeddings ``z``, their consistency against the
+    ``relevant_sums`` of ``truth``, and the recall of their ``first_hits``,
+    which ``z`` is ranked for here unless the caller holds them."""
+    if hits is None:
+        hits = first_hits(_rank(gallery, z), truth)
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.center),
-        "consistency": metric_consistency(z, gallery.items, truth),
-        "recall": {str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS},
+        "consistency": metric_consistency(z, gallery.items, truth, sums),
+        "recall": _recall(hits),
     }
+
+
+def _recall(hits: np.ndarray) -> dict:
+    return {str(k): recall_of_hits(hits, k) for k in _RECALL_KS}
 
 
 def _report(cfg: RunConfig, body) -> dict:
@@ -382,47 +392,49 @@ def cmd_synth(cfg: RunConfig, out_dir) -> dict:
 def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
-    Each batch's rankings on arrival are the online result: the report's recall
-    scores them, and so does the ``initial`` of ``none``, which never steps.
+    Each batch's rankings on arrival are the online result. Each query's
+    relevant-row sum and the first-hit rank of its online ranking are taken
+    once, with its batch's metrics: the report's recall counts those ranks,
+    ``none``, which never steps, reads its ``initial`` from them, and every
+    whole-stream consistency is scored against the kept sums.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
         series: dict = {}
-        ranked = []
+        sums, hits = [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
             if cfg.method == "rest":
                 result = session.adapt_batch(raw)
             else:
                 result = session.run_baseline(raw, cfg.method)
-            ranked.append(result.rankings)
 
             batch_truth = truth[start : start + cfg.batch]
+            sums.append(relevant_sums(gallery.items, batch_truth))
+            hits.append(first_hits(result.rankings, batch_truth))
             row = dataclasses.asdict(result.diagnostics)
             bd = result.breakdown
             for term in ("l_u", "l_g", "l_rem", "l_rhm"):
                 row[term] = None if bd is None else getattr(bd, term)
             row["uniformity"] = metric_uniformity(result.z)
             row["gap"] = metric_gap(result.z, gallery.center)
-            row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth)
-            row["recall_1"] = recall_at_k(result.rankings, batch_truth, 1)
+            row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth, sums[-1])
+            row["recall_1"] = recall_of_hits(hits[-1], 1)
             for key, value in row.items():
                 series.setdefault(key, []).append(value)
 
-        rankings = np.concatenate(ranked)
+        sums, hits = np.concatenate(sums), np.concatenate(hits)
         z0 = forward_adapter(session.source_params, stream)
         if cfg.method == "none":
-            initial = _stream_metrics(z0, rankings, gallery, truth)
+            initial = _stream_metrics(z0, sums, gallery, truth, hits)
             final = copy.deepcopy(initial)
         else:
-            initial = _stream_metrics(z0, _rank(gallery, z0), gallery, truth)
-            z = forward_adapter(session.params, stream)
-            final = _stream_metrics(z, _rank(gallery, z), gallery, truth)
+            initial = _stream_metrics(z0, sums, gallery, truth)
+            final = _stream_metrics(forward_adapter(session.params, stream), sums, gallery, truth)
             if cfg.method == "rest":
                 final["delta_s"] = series["delta_s"][-1]
                 final["e_b"] = series["e_b"][-1]
-        recall = {str(k): recall_at_k(rankings, truth, k) for k in _RECALL_KS}
-        return {"recall": recall, "initial": initial, "final": final, "series": series}
+        return {"recall": _recall(hits), "initial": initial, "final": final, "series": series}
 
     return _report(cfg, body)
 
@@ -431,9 +443,10 @@ def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     """Evaluate scale/offset probes of the non-adapting source embeddings."""
     def body(gallery, stream, truth):
         z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
+        sums = relevant_sums(gallery.items, truth)
 
         def row(lam, z):
-            return {"lambda": lam, **_stream_metrics(z, _rank(gallery, z), gallery, truth)}
+            return {"lambda": lam, **_stream_metrics(z, sums, gallery, truth)}
 
         scale = [row(lam, scale_queries(z0, lam)) for lam in map(float, lambda_scale)]
         offset = [row(lam, offset_queries(z0, gallery.center, lam))
@@ -447,7 +460,8 @@ def cmd_metrics(cfg: RunConfig) -> dict:
     """One-shot metrics of the source embeddings against the gallery."""
     def body(gallery, stream, truth):
         z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-        return {"metrics": _stream_metrics(z0, _rank(gallery, z0), gallery, truth)}
+        sums = relevant_sums(gallery.items, truth)
+        return {"metrics": _stream_metrics(z0, sums, gallery, truth)}
 
     return _report(cfg, body)
 

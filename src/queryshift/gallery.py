@@ -110,8 +110,11 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
     scored in row blocks of at most ``SCORE_BLOCK`` similarities; a query
     that is not finite raises ValueError.
 
-    Below ``_SCREEN_MIN_ITEMS`` items every score is a float64 product of
-    the query block and the gallery. From that size on, each query row is
+    Below ``_SCREEN_MIN_ITEMS`` items every score comes from one float64
+    BLAS product of the query block and the gallery. Its rounding can depend
+    on an item's column and on the query's batch mates, so two identical
+    gallery rows can score an ulp apart, and the lower-id tie rule applies
+    to the computed scores. From that size on, each query row is
     scaled to unit length and scored in float32 against
     ``gallery.items_t32``; such a score is within ``(dim + 2) * 2**-24`` of
     the exact cosine to first order, and each row's top-k floor drops by

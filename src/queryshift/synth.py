@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatchError, EmptyBatchError, InvalidSpecError
-from .gallery import Gallery, _row_blocks
+from . import gallery as _gallery
+from .gallery import Gallery
 from .vectors import l2_normalize_rows
 
 # Each corruption kind and the CorruptionSpec fields it reads.
@@ -29,6 +30,9 @@ CORRUPTION_FIELDS = {
 
 # Fixed tag mixed into the per-domain shift-direction seed.
 _DIRECTION_TAG = 0x5D1F7
+
+# The first_hits rank of a query none of whose ranked ids is relevant; a miss at every k.
+NO_HIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -280,42 +284,84 @@ def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
     return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
 
 
-def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth) -> float:
+def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
+    """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
+
+    The pairs are gathered once, in blocks of at most ``SCORE_BLOCK``
+    values. A block holds whole queries, except that a query with more
+    pairs than one block holds is cut every block's worth of pairs from its
+    own first pair. Each query's rows are summed in order, so its sum does
+    not depend on which queries share its blocks: the sums of ``truth[a:b]``
+    are rows a..b-1 of the sums of ``truth``, bit for bit.
+    """
+    z_g = np.asarray(z_g, dtype=np.float64)
+    indptr, ids = truth.indptr, truth.indices
+    out = np.zeros((len(truth), z_g.shape[1]))
+    for lo, hi in _pair_blocks(indptr, max(1, _gallery.SCORE_BLOCK // z_g.shape[1])):
+        # The queries whose pairs start in the block, and the one it may start inside.
+        first = int(np.searchsorted(indptr, lo, side="right")) - 1
+        last = int(np.searchsorted(indptr, hi, side="left"))
+        cuts = np.maximum(indptr[first:last], lo)
+        out[first:last] += np.add.reduceat(z_g.take(ids[lo:hi], axis=0), cuts - lo, axis=0)
+    return out
+
+
+def _pair_blocks(indptr: np.ndarray, step: int):
+    """(lo, hi) pair ranges of at most ``step`` pairs for ``relevant_sums``."""
+    bounds = indptr.tolist()
+    lo = 0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - lo > step:
+            # The query does not fit: it starts a block, cut every step pairs.
+            if start > lo:
+                yield lo, start
+            lo = start
+            while stop - lo > step:
+                yield lo, lo + step
+                lo += step
+    yield lo, bounds[-1]
+
+
+def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth,
+                       sums: np.ndarray | None = None) -> float:
     """Mean cosine similarity over all correctly associated pairs.
 
-    Only the relevant pairs are scored, in blocks whose two gathered
-    (pairs, dim) operands hold at most ``SCORE_BLOCK`` values, so memory
-    stays flat in the number of pairs.
+    It is one dot product, ``vdot(z_q, sums) / pairs``, where ``sums`` is
+    ``relevant_sums(z_g, truth)``: given by a caller that holds it, or
+    built here.
     """
-    z_q = np.asarray(z_q, dtype=np.float64)
-    z_g = np.asarray(z_g, dtype=np.float64)
-    rows, ids = truth.row_ids(), truth.indices
-    if ids.size == 0:
+    if truth.indices.size == 0:
         raise EmptyBatchError("no relevance pairs")
-    total = 0.0
-    for pairs in _row_blocks(ids.size, 2 * z_g.shape[1]):
-        total += float(np.vdot(z_q.take(rows[pairs], axis=0), z_g.take(ids[pairs], axis=0)))
-    return total / ids.size
+    if sums is None:
+        sums = relevant_sums(z_g, truth)
+    return float(np.vdot(np.asarray(z_q, dtype=np.float64), sums)) / truth.indices.size
 
 
-def count_hits(rankings: np.ndarray, truth: GroundTruth, k: int) -> int:
-    """Number of queries whose top-k ranked ids hit a relevant item.
+def first_hits(rankings: np.ndarray, truth: GroundTruth) -> np.ndarray:
+    """Per query, the rank of the first relevant id in its ranking row, or ``NO_HIT``.
 
-    Each (query, id) pair is the key ``query * span + id``; the ground
-    truth's keys are sorted, so one ``searchsorted`` finds every hit.
+    Rows past the ground truth's queries and negative ids are ignored. Each
+    (query, id) pair is the key ``query * span + id``; the ground truth's
+    keys are sorted, so one ``searchsorted`` finds every hit.
     """
     rankings = np.asarray(rankings)
     n = len(truth)
     if rankings.shape[0] < n:
         raise DimMismatchError(f"rankings cover {rankings.shape[0]} queries, ground truth has {n}")
-    top = rankings[:n, :k]
+    top = rankings[:n]
     span = max(int(truth.indices.max(initial=0)), int(top.max(initial=0))) + 1
     keys = truth.row_ids() * span + truth.indices
     want = np.arange(n)[:, None] * span + top
     found = keys[np.searchsorted(keys, want).clip(max=keys.size - 1)] == want
-    return int(np.count_nonzero((found & (top >= 0)).any(axis=1)))
+    found &= top >= 0
+    return np.where(found, np.arange(top.shape[1]), NO_HIT).min(axis=1, initial=NO_HIT)
 
 
 def recall_at_k(rankings: np.ndarray, truth: GroundTruth, k: int) -> float:
     """Fraction of queries whose top-k ranked ids hit a relevant item."""
-    return count_hits(rankings, truth, k) / len(truth)
+    return recall_of_hits(first_hits(rankings, truth), k)
+
+
+def recall_of_hits(hits: np.ndarray, k: int) -> float:
+    """Fraction of queries whose first hit (``first_hits``) ranks within the top k."""
+    return int(np.count_nonzero(hits < k)) / hits.size

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from csr import csr_rows
-from queryshift import adapt, cli
+from queryshift import adapt, cli, synth
 from queryshift.cli import (
     _config_echo,
     _stream_metrics,
@@ -29,7 +29,14 @@ from queryshift.cli import (
 )
 from queryshift.errors import BadConfigError, BadInputError
 from queryshift.gallery import Gallery
-from queryshift.synth import CORRUPTION_FIELDS, CorruptionSpec, GroundTruth, SyntheticSpec
+from queryshift.synth import (
+    CORRUPTION_FIELDS,
+    CorruptionSpec,
+    GroundTruth,
+    SyntheticSpec,
+    first_hits,
+    relevant_sums,
+)
 from queryshift.vectors import l2_normalize_rows
 
 BASE_SYNTH = {
@@ -578,6 +585,41 @@ class TestCmdAdapt:
         assert sorted(calls) == [("batch", 16)] * 24 + whole
         assert len(report["series"]["recall_1"]) == 24
 
+    @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
+    def test_each_relevance_pair_gathered_once(self, monkeypatch, method):
+        # 384 queries in batches of 16: each batch gathers its queries'
+        # relevant gallery rows once and counts its rankings' hits once. A
+        # method that steps adds one hit pass per whole-stream ranking.
+        gathered, passes = [], []
+
+        def sums(z_g, truth):
+            gathered.append(truth.indices.size)
+            return relevant_sums(z_g, truth)
+
+        def hits(rankings, truth):
+            passes.append(len(truth))
+            return first_hits(rankings, truth)
+
+        for module in (cli, synth):
+            monkeypatch.setattr(module, "relevant_sums", sums)
+            monkeypatch.setattr(module, "first_hits", hits)
+        cfg = config_dict(method=method, batch=16)
+        cfg["synth"].update(gallery_size=128, stream_length=384)
+        parsed = parse_config(cfg)
+        _, _, _, truth = cli._synthesize(parsed)
+        cmd_adapt(parsed)
+        assert sum(gathered) == truth.indices.size
+        whole = [] if method == "none" else [384] * 2
+        assert sorted(passes) == [16] * 24 + whole
+
+    def test_metrics_identity_equals_none_initial(self):
+        cfg = parse_config(config_dict(method="none", batch=16))
+        initial = cmd_adapt(cfg)["initial"]
+        metrics = cmd_metrics(cfg)["metrics"]
+        assert metrics["consistency"] == initial["consistency"]
+        assert metrics["recall"] == initial["recall"]
+        assert metrics == initial
+
     def test_rest_first_step_source_coincidence(self):
         cfg = parse_config(config_dict(method="rest", decouple=True))
         report = cmd_adapt(cfg)
@@ -695,7 +737,7 @@ class TestCmdGradcheckAndMetrics:
         truth = GroundTruth.from_sets(tuple(by_class[i % 64] for i in range(2048)))
         tracemalloc.start()
         try:
-            metrics = _stream_metrics(z, cli._rank(gallery, z), gallery, truth)
+            metrics = _stream_metrics(z, relevant_sums(gallery.items, truth), gallery, truth)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

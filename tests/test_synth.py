@@ -14,13 +14,16 @@ from queryshift.synth import (
     _apply,
     apply_corruption,
     corrupt_stream,
-    count_hits,
+    NO_HIT,
+    first_hits,
     generate_benchmark,
     metric_consistency,
     metric_gap,
     metric_uniformity,
     offset_queries,
     recall_at_k,
+    recall_of_hits,
+    relevant_sums,
     scale_queries,
     shift_direction,
 )
@@ -197,7 +200,32 @@ class TestGroundTruth:
             # and a few negative ids.
             extra = int(rng.integers(0, 4))
             rankings = rng.integers(-2, n_items + 5, (n + extra, int(rng.integers(1, 12))))
-            assert count_hits(rankings, truth, k) == count_hits_by_sets(rankings, relevant, k)
+            hits = first_hits(rankings, truth)
+            assert int(np.count_nonzero(hits < k)) == count_hits_by_sets(rankings, relevant, k)
+
+    def test_first_hit_recall_matches_set_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            n, n_items = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+            relevant = random_relevant(rng, n, n_items)
+            truth = GroundTruth.from_sets(relevant)
+            # More ranking rows than queries, ids past the truth's largest
+            # and a few negative ids.
+            extra, depth = int(rng.integers(0, 4)), int(rng.integers(1, 12))
+            rankings = rng.integers(-2, n_items + 5, (n + extra, depth))
+            hits = first_hits(rankings, truth)
+            # A query with no hit misses at every k, also past the ranking depth.
+            for k in range(1, depth + 3):
+                want = count_hits_by_sets(rankings, relevant, k)
+                assert recall_of_hits(hits, k) == want / n
+                assert recall_at_k(rankings, truth, k) == want / n
+
+    def test_first_hits_are_ranks_of_first_relevant_ids(self):
+        truth = GroundTruth.from_sets(({3}, {1, 2}, {0}, {5}))
+        rankings = np.array([[3, 0, 1], [4, 2, 1], [-1, 7, 0], [4, 4, 4], [5, 5, 5]])
+        hits = first_hits(rankings, truth)
+        assert hits.tolist() == [0, 1, 2, NO_HIT]
+        assert first_hits(np.empty((4, 0), dtype=np.int64), truth).tolist() == [NO_HIT] * 4
 
 
 class TestApplyCorruption:
@@ -440,6 +468,40 @@ class TestMetrics:
         for block in (1 << 20, 4 * 17, 6 * 17 + 3, 1):
             monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
             assert metric_consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
+
+    def test_relevant_sums_independent_of_blocks_and_slices(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        z_q = l2_normalize_rows(rng.standard_normal((31, 4)))
+        z_g = l2_normalize_rows(rng.standard_normal((40, 4)))
+        truth = GroundTruth.from_sets(
+            rng.choice(40, int(rng.integers(1, 41)), replace=False).tolist() for _ in range(31)
+        )
+        want = np.array([z_g[rel].sum(axis=0) for rel in csr_rows(truth)])
+        cuts = (0, 1, 7, 8, 20, 31)
+        # One block; then 1, 3 and 10 pairs (dim 4) per block, so that most
+        # queries span several blocks. Within one block size, a query's sum
+        # does not depend on the queries it is built with.
+        for block in (1 << 20, 4, 12, 40, 1):
+            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+            whole = relevant_sums(z_g, truth)
+            np.testing.assert_allclose(whole, want, rtol=0, atol=1e-12)
+            pieces = [relevant_sums(z_g, truth[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.array_equal(np.concatenate(pieces), whole)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                part = truth[a:b]
+                assert metric_consistency(z_q[a:b], z_g, part) == pytest.approx(
+                    consistency_by_pairs(z_q[a:b], z_g, part), rel=1e-12)
+        assert relevant_sums(z_g, truth[5:5]).shape == (0, 4)
+
+    def test_consistency_reads_given_sums(self):
+        rng = np.random.default_rng(15)
+        z_q = l2_normalize_rows(rng.standard_normal((5, 3)))
+        z_g = l2_normalize_rows(rng.standard_normal((7, 3)))
+        truth = GroundTruth.from_sets(({0, 1}, {2}, {3, 4, 5}, {6}, {0, 6}))
+        sums = relevant_sums(z_g, truth)
+        assert metric_consistency(z_q, z_g, truth, sums) == metric_consistency(z_q, z_g, truth)
+        assert metric_consistency(z_q, None, truth, 2 * sums) == pytest.approx(
+            2 * metric_consistency(z_q, z_g, truth), rel=1e-14)
 
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
