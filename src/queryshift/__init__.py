@@ -33,7 +33,6 @@ from .synth import (
     CorruptionSpec,
     GroundTruth,
     SyntheticSpec,
-    apply_corruption,
     corrupt_stream,
     generate_benchmark,
     metric_consistency,

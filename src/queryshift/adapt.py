@@ -37,6 +37,7 @@ from .refine import (
     source_likeness,
     update_queue,
 )
+from .vectors import softmax_temp
 
 _BASELINES = ("tent", "pl", "none")
 
@@ -280,11 +281,12 @@ class AdaptationSession:
         return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
 
     def _source_probs(self, state: ForwardState, cands: CandidateBatch) -> np.ndarray:
-        """Source-parameter predictions on the current candidate supports."""
+        """Source-parameter predictions on the current candidate supports (probs only)."""
         src = self.source_params
         if np.array_equal(state.gamma, src.gamma) and np.array_equal(state.beta, src.beta):
             return state.probs
-        return forward_state(src.gamma, src.beta, state.raw, cands, self.config.tau).probs
+        _, z_src = affine_normalize(src.gamma, src.beta, state.raw)
+        return softmax_temp(np.where(cands.mask, z_src @ cands.embs.T, -np.inf), self.config.tau)
 
     def _rest_gradient(
         self,

@@ -47,7 +47,8 @@ class ForwardState:
     perturbed parameters keeps it (and all other discrete choices) fixed.
     Per-candidate arrays are (b, U) over the pool columns: columns outside a
     query's candidates (``mask``) score -inf and have probability exactly 0.
-    ``pos`` holds each query's positive column.
+    ``pos`` holds each query's positive column; ``log_probs`` (``clamped_log(probs)``)
+    and ``live`` (``probs > EPS_PROB``) are built once per pass for every loss.
     """
 
     raw: np.ndarray
@@ -60,6 +61,8 @@ class ForwardState:
     mask: np.ndarray
     scores: np.ndarray
     probs: np.ndarray
+    log_probs: np.ndarray
+    live: np.ndarray
     entropies: np.ndarray
     tau: float
 
@@ -111,6 +114,7 @@ def forward_state(
     norms, z = affine_normalize(gamma, beta, raw)
     scores = np.where(cands.mask, z @ cands.embs.T, -np.inf)
     probs = softmax_temp(scores, tau)
+    log_probs = clamped_log(probs)
     return ForwardState(
         raw=np.asarray(raw, dtype=np.float64),
         gamma=gamma,
@@ -122,7 +126,9 @@ def forward_state(
         mask=cands.mask,
         scores=scores,
         probs=probs,
-        entropies=shannon_entropy(probs),
+        log_probs=log_probs,
+        live=probs > EPS_PROB,
+        entropies=shannon_entropy(probs, log_probs),
         tau=tau,
     )
 
@@ -183,8 +189,12 @@ def _gap_grad(z: np.ndarray, pos_mean: np.ndarray, delta_s: float):
 def _entropy_score_grads(state: ForwardState) -> np.ndarray:
     """dE_i/ds_i for every query; the probability clamp zeroes dead terms."""
     p = state.probs
-    g = -(clamped_log(p) + (p > EPS_PROB))
-    return p * (g - (p * g).sum(axis=1, keepdims=True)) / state.tau
+    # With h = log p + live, dE/ds = -p (h - <p, h>) / tau.
+    h = state.log_probs + state.live
+    h -= (p * h).sum(axis=1, keepdims=True)
+    h *= p
+    h /= -state.tau
+    return h
 
 
 def _dz_from_score_grads(state: ForwardState, ds: np.ndarray) -> np.ndarray:
@@ -230,11 +240,15 @@ def _kl_grad(state: ForwardState, src_probs: np.ndarray):
             f"source predictions {q.shape} do not share the candidate supports {p.shape}"
         )
     b = state.batch_size
-    val = float((q * (clamped_log(q) - clamped_log(p))).sum()) / b
-    live = (p > EPS_PROB).astype(np.float64)
+    terms = clamped_log(q)
+    terms -= state.log_probs
+    terms *= q
+    val = float(terms.sum()) / b
+    q_live = q * state.live
     # Source mass on the live columns; non-candidates hold none (checked above).
-    s_live = (q * live).sum(axis=1, keepdims=True)
-    ds = (p * s_live - q * live) / (b * state.tau)
+    ds = p * q_live.sum(axis=1, keepdims=True)
+    ds -= q_live
+    ds /= b * state.tau
     return val, _dz_from_score_grads(state, ds)
 
 
@@ -242,11 +256,11 @@ def _pl_grad(state: ForwardState, labels: np.ndarray):
     """Cross-entropy against fixed pseudo-labels, with gradient."""
     b = state.batch_size
     rows = np.arange(b)
-    p_y = state.probs[rows, labels]
-    live = p_y > EPS_PROB
+    live = state.live[rows, labels]
     ds = live[:, None] * state.probs
     ds[rows, labels] -= live
-    return float(-clamped_log(p_y).sum()) / b, _dz_from_score_grads(state, ds / (b * state.tau))
+    ds /= b * state.tau
+    return float(-state.log_probs[rows, labels].sum()) / b, _dz_from_score_grads(state, ds)
 
 
 def hard_negative_slots(state: ForwardState) -> np.ndarray:
@@ -259,8 +273,12 @@ def hard_negative_slots(state: ForwardState) -> np.ndarray:
     negatives[np.arange(state.batch_size), state.pos] = False
     if not negatives.any(axis=1).all():
         raise EmptyBatchError("need a positive and at least one negative")
-    c = np.clip((1.0 + np.clip(state.scores, -1.0, 1.0)) / 2.0, EPS_PROB, 1.0)
-    return np.argmax(np.where(negatives, c, -np.inf), axis=1)
+    c = np.clip(state.scores, -1.0, 1.0)
+    c += 1.0
+    c /= 2.0
+    np.clip(c, EPS_PROB, 1.0, out=c)
+    c[~negatives] = -np.inf
+    return np.argmax(c, axis=1)
 
 
 def positives_mean(state: ForwardState) -> np.ndarray:

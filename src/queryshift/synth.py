@@ -188,13 +188,6 @@ def shift_direction(dim: int, domain: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def apply_corruption(stream: np.ndarray, spec: CorruptionSpec, seed: int) -> np.ndarray:
-    """Corrupt a raw query stream; deterministic given (spec, seed)."""
-    stream = np.asarray(stream, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    return _apply(stream, spec, rng)
-
-
 def _apply(stream: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "gaussian_noise":
         return stream + spec.sigma * rng.standard_normal(stream.shape)
@@ -218,7 +211,7 @@ def corrupt_stream(stream: np.ndarray, specs, seed: int) -> np.ndarray:
     if not specs:
         return stream.copy()
     if len(specs) == 1:
-        return apply_corruption(stream, specs[0], seed)
+        return _apply(stream, specs[0], np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     choice = rng.integers(0, len(specs), stream.shape[0])
     # Corrupt the full stream under each domain, then pick rows; collapse

@@ -38,12 +38,14 @@ def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:
     """Temperature softmax over the last axis, with max-subtraction for stability."""
     if not tau > 0:
         raise InvalidSpecError(f"temperature must be > 0, got {tau}")
-    s = np.asarray(scores, dtype=np.float64) / tau
+    e = np.asarray(scores, dtype=np.float64) / tau  # a copy; the rest runs in place
     # At a tiny tau the shift of the lowest scores can overflow to -inf,
     # whose exp is the exact 0 it stands for.
     with np.errstate(over="ignore"):
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def clamped_log(p: np.ndarray) -> np.ndarray:
@@ -51,7 +53,11 @@ def clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, EPS_PROB))
 
 
-def shannon_entropy(p: np.ndarray) -> np.ndarray:
-    """Natural-log entropy over the last axis; zero-probability terms contribute zero."""
+def shannon_entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
+    """Natural-log entropy over the last axis; zero-probability terms contribute zero.
+
+    ``log_p`` is ``clamped_log(p)`` when the caller already holds it.
+    """
     p = np.asarray(p, dtype=np.float64)
-    return -(p * clamped_log(p)).sum(axis=-1)
+    log_p = clamped_log(p) if log_p is None else log_p
+    return -(p * log_p).sum(axis=-1)

@@ -93,11 +93,12 @@ class TestKlGeneral:
     def test_hand_value(self):
         # Single two-way prediction: KL((.5,.5) || (.9,.1)) in nats.
         expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-        rng = np.random.default_rng(3)
-        raw = rng.standard_normal((1, 4))
-        cand = l2_normalize_rows(rng.standard_normal((2, 4)))
-        st = forward_state(np.ones(4), np.zeros(4), raw, pool_of([cand]), 0.5)
-        st.probs[0] = np.array([0.9, 0.1])
+        # Scores +-c at tau 0.5 put odds exp(4c) = 9 on the first candidate.
+        c = math.log(9.0) / 4.0
+        s = math.sqrt(1.0 - c * c)
+        cand = np.array([[c, s, 0.0, 0.0], [-c, s, 0.0, 0.0]])
+        st = forward_state(np.ones(4), np.zeros(4), np.eye(4)[:1], pool_of([cand]), 0.5)
+        np.testing.assert_allclose(st.probs[0], [0.9, 0.1], rtol=1e-14, atol=0)
         kl, _ = kl_general(st, [np.array([0.5, 0.5])])
         assert kl == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5108, abs=1e-4)
@@ -253,23 +254,29 @@ PER_ROW_PRIMITIVES = {
 }
 
 
+def counted_calls(patch, primitives):
+    """Count calls of each primitive (``{home module: names}``) in every module that binds it."""
+    counts = Counter()
+    for home, names in primitives.items():
+        for name in names:
+            fn = getattr(home, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (vectors, losses, refine, gallery, adapt):
+                if getattr(module, name, None) is fn:
+                    patch.setattr(module, name, counted)
+    return counts
+
+
 def primitive_calls(monkeypatch, b, k=4):
     """Calls of each primitive during the first ``adapt_batch`` of b queries."""
     gal, stream, _ = small_benchmark(seed=14, stream=128)
     session = AdaptationSession(gal, SessionConfig(k=k, batch=b, decouple=True))
-    counts = Counter()
     with monkeypatch.context() as patch:
-        for home, names in PER_ROW_PRIMITIVES.items():
-            for name in names:
-                fn = getattr(home, name)
-
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                for module in (vectors, losses, refine, gallery, adapt):
-                    if getattr(module, name, None) is fn:
-                        patch.setattr(module, name, counted)
+        counts = counted_calls(patch, PER_ROW_PRIMITIVES)
         session.adapt_batch(stream[:b])
     return counts
 
@@ -286,23 +293,30 @@ class TestBatchedSessionPath:
 
     @pytest.mark.parametrize("method", ["rest", "pl"])
     def test_first_batch_makes_one_forward_pass(self, monkeypatch, method):
-        # At the source point the source predictions are the current ones.
+        # At the source point the source predictions are the current ones;
+        # every prediction pass, the source one included, is one softmax.
         gal, stream, _ = small_benchmark(seed=14, stream=32)
         session = AdaptationSession(gal, SessionConfig(k=4, batch=16, decouple=True))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward_state(*args, **kwargs)
+        counts = counted_calls(monkeypatch, {vectors: ("softmax_temp",)})
 
         def run(raw):
             return session.adapt_batch(raw) if method == "rest" else session.run_baseline(raw, "pl")
 
-        monkeypatch.setattr(adapt, "forward_state", counted)
         run(stream[:16])
-        assert len(calls) == 1
+        assert counts["softmax_temp"] == 1
         run(stream[16:])
-        assert len(calls) == 3
+        assert counts["softmax_temp"] == 3
+
+    def test_post_source_rest_batch_logs_and_predicts_twice(self, monkeypatch):
+        # One log for the current pass and one for the source predictions of
+        # the KL; one softmax for each of the two prediction passes.
+        gal, stream, _ = small_benchmark(seed=14, stream=32)
+        session = AdaptationSession(gal, SessionConfig(k=4, batch=16, decouple=True))
+        session.adapt_batch(stream[:16])
+        assert session.params.flat().tolist() != session.source_params.flat().tolist()
+        counts = counted_calls(monkeypatch, {vectors: ("softmax_temp", "clamped_log")})
+        session.adapt_batch(stream[16:])
+        assert counts == {"softmax_temp": 2, "clamped_log": 2}
 
 
 class TestAdaptBatch:

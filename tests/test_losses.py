@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pools import pool_of
+from queryshift.adapt import AdaptationSession, SessionConfig
 from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
 from queryshift.gallery import CentroidSet, Gallery, build_centroids
 from queryshift.losses import (
@@ -26,7 +27,9 @@ from queryshift.losses import (
     total_loss_and_grad,
 )
 from queryshift.refine import ConstraintEstimates, build_candidate_sets
-from queryshift.vectors import EPS_PROB, l2_normalize_rows
+from queryshift.vectors import (
+    EPS_PROB, clamped_log, l2_normalize_rows, shannon_entropy, softmax_temp
+)
 
 
 def make_instance(seed=0, b=6, d=8, n=40, k=3, tau=0.5):
@@ -588,3 +591,41 @@ class TestPaddedBatch:
         for inst in range(3):
             state = _gradcheck_instance(inst, 16, 8, 4, 48, 0.5)[0]
             assert len(set(state.mask.sum(axis=1).tolist())) > 1
+
+
+class TestForwardStateCache:
+    """The logs, live mask and entropies a pass keeps are the ones its losses would build."""
+
+    TAUS = [0.5, 0.02, 6e-309]
+
+    @staticmethod
+    def states(tau):
+        yield ragged_instance(tau=tau)
+        state, raw, cands, _ = make_instance(seed=32, b=8, d=6, n=40, k=4, tau=tau)
+        yield state, raw, cands
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_cached_fields_equal_their_primitives(self, tau):
+        for state, _, _ in self.states(tau):
+            assert not state.mask.all()
+            assert np.array_equal(state.log_probs, clamped_log(state.probs))
+            assert np.array_equal(state.live, state.probs > EPS_PROB)
+            assert np.array_equal(state.entropies, shannon_entropy(state.probs))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_source_pass_equals_source_forward_state(self, tau):
+        for state, raw, cands in self.states(tau):
+            gallery = Gallery(l2_normalize_rows(np.eye(state.dim)))
+            session = AdaptationSession(gallery, SessionConfig(tau=tau, k=1))
+            assert not np.array_equal(state.gamma, session.source_params.gamma)
+            src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, tau)
+            got = session._source_probs(state, cands)
+            assert got.tobytes() == src.probs.tobytes()
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_softmax_leaves_its_input_unmodified(self, tau):
+        for state, _, _ in self.states(tau):
+            scores = state.scores.copy()
+            probs = softmax_temp(scores, tau)
+            assert scores.tobytes() == state.scores.tobytes()
+            assert probs.tobytes() == state.probs.tobytes()

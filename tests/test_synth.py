@@ -12,7 +12,6 @@ from queryshift.synth import (
     GroundTruth,
     SyntheticSpec,
     _apply,
-    apply_corruption,
     corrupt_stream,
     NO_HIT,
     first_hits,
@@ -238,17 +237,17 @@ class TestApplyCorruption:
 
     def test_identity_parameters_change_nothing(self):
         spec = CorruptionSpec(kind="gaussian_noise", sigma=0.0)
-        np.testing.assert_allclose(apply_corruption(self.stream, spec, 0), self.stream)
+        np.testing.assert_allclose(corrupt_stream(self.stream, [spec], 0), self.stream)
         spec = CorruptionSpec(kind="mean_shift", delta=0.0)
-        np.testing.assert_allclose(apply_corruption(self.stream, spec, 0), self.stream)
+        np.testing.assert_allclose(corrupt_stream(self.stream, [spec], 0), self.stream)
         spec = CorruptionSpec(kind="uniformity_collapse", rho=0.0)
-        np.testing.assert_allclose(apply_corruption(self.stream, spec, 0), self.stream)
+        np.testing.assert_allclose(corrupt_stream(self.stream, [spec], 0), self.stream)
 
     def test_mean_shift_widens_gap(self):
         ident = AdapterParams.identity(self.gallery.dim)
         gap_before = metric_gap(forward_adapter(ident, self.stream), self.gallery.center)
-        shifted = apply_corruption(
-            self.stream, CorruptionSpec(kind="mean_shift", delta=0.5, domain=0), 0
+        shifted = corrupt_stream(
+            self.stream, [CorruptionSpec(kind="mean_shift", delta=0.5, domain=0)], 0
         )
         gap_after = metric_gap(forward_adapter(ident, shifted), self.gallery.center)
         assert gap_after > gap_before
@@ -256,8 +255,8 @@ class TestApplyCorruption:
     def test_collapse_reduces_uniformity(self):
         ident = AdapterParams.identity(self.gallery.dim)
         u_before = metric_uniformity(forward_adapter(ident, self.stream))
-        collapsed = apply_corruption(
-            self.stream, CorruptionSpec(kind="uniformity_collapse", rho=0.8), 0
+        collapsed = corrupt_stream(
+            self.stream, [CorruptionSpec(kind="uniformity_collapse", rho=0.8)], 0
         )
         u_after = metric_uniformity(forward_adapter(ident, collapsed))
         assert u_after < u_before
@@ -268,9 +267,9 @@ class TestApplyCorruption:
             CorruptionSpec(kind="uniformity_collapse", rho=0.5),
         )
         spec = CorruptionSpec(kind="compose", parts=inner)
-        manual = apply_corruption(self.stream, inner[0], 7)
+        manual = corrupt_stream(self.stream, [inner[0]], 7)
         manual = manual + 0.5 * (manual.mean(axis=0)[None, :] - manual)
-        np.testing.assert_allclose(apply_corruption(self.stream, spec, 7), manual, atol=1e-12)
+        np.testing.assert_allclose(corrupt_stream(self.stream, [spec], 7), manual, atol=1e-12)
 
     def test_compose_requires_parts(self):
         with pytest.raises(InvalidSpecError):
