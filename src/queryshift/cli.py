@@ -466,10 +466,10 @@ def cmd_metrics(cfg: RunConfig) -> dict:
     return _report(cfg, body)
 
 
-def cmd_gradcheck(seed: int, perturb: float = 0.0) -> dict:
+def cmd_gradcheck(seed: int) -> dict:
     """Analytic-vs-finite-difference verification over seeded instances."""
     started = time.monotonic()
-    report = gradient_check(seed=seed, dims=(1, 2, 16), instances=5, perturb=perturb)
+    report = gradient_check(seed=seed, dims=(1, 2, 16), instances=5)
     report["schema"] = 1
     report["wall_clock_seconds"] = time.monotonic() - started
     return report

@@ -74,6 +74,17 @@ class Gallery:
         return _frozen_copy(self.items.mean(axis=0))
 
     @functools.cached_property
+    def first_copy(self) -> np.ndarray | None:
+        """Each row's lowest id holding the same values, or None when all rows differ."""
+        _, first, inverse = np.unique(self.items, axis=0, return_index=True, return_inverse=True)
+        if first.size == self.size:
+            return None
+        # numpy versions differ in the inverse's shape.
+        out = first[inverse.reshape(-1)]
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
     def items_t32(self) -> np.ndarray:
         """Read-only C-contiguous float32 ``(dim, size)`` copy of the rows, built once."""
         out = np.ascontiguousarray(self.items.T, dtype=np.float32)
@@ -112,9 +123,9 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
 
     Below ``_SCREEN_MIN_ITEMS`` items every score comes from one float64
     BLAS product of the query block and the gallery. Its rounding can depend
-    on an item's column and on the query's batch mates, so two identical
-    gallery rows can score an ulp apart, and the lower-id tie rule applies
-    to the computed scores. From that size on, each query row is
+    on an item's column and on the query's batch mates, so a row that repeats
+    an earlier one takes the score of its first copy (``Gallery.first_copy``)
+    and identical rows tie exactly. From that size on, each query row is
     scaled to unit length and scored in float32 against
     ``gallery.items_t32``; such a score is within ``(dim + 2) * 2**-24`` of
     the exact cosine to first order, and each row's top-k floor drops by
@@ -151,7 +162,10 @@ def knn_table(gallery: Gallery, queries: np.ndarray, k: int) -> np.ndarray:
             exact = _pair_scores(queries[rows], gallery.items, row, col)
             out[rows] = _sort_candidates(row, col, exact, b, k)
         else:
-            out[rows] = _topk(np.matmul(queries[rows], gallery.items.T, out=buf[:b]), k)
+            scores = np.matmul(queries[rows], gallery.items.T, out=buf[:b])
+            if gallery.first_copy is not None:
+                scores = scores[:, gallery.first_copy]
+            out[rows] = _topk(scores, k)
     return out
 
 

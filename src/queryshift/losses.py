@@ -197,14 +197,10 @@ def _entropy_score_grads(state: ForwardState) -> np.ndarray:
     return h
 
 
-def _dz_from_score_grads(state: ForwardState, ds: np.ndarray) -> np.ndarray:
-    return ds @ state.pool
-
-
 def _rem_grad(state: ForwardState, w: np.ndarray, n_act: int):
     if n_act == 0:
         return 0.0, np.zeros_like(state.z)
-    dz = _dz_from_score_grads(state, _entropy_score_grads(state))
+    dz = _entropy_score_grads(state) @ state.pool
     return float((w * state.entropies).sum() / n_act), (w / n_act)[:, None] * dz
 
 
@@ -225,7 +221,7 @@ def _rhm_grad(state: ForwardState, w: np.ndarray, n_act: int, slots: np.ndarray)
 
 def _em_grad(state: ForwardState):
     val = float(state.entropies.mean())
-    return val, _dz_from_score_grads(state, _entropy_score_grads(state)) / state.batch_size
+    return val, _entropy_score_grads(state) @ state.pool / state.batch_size
 
 
 def _kl_grad(state: ForwardState, src_probs: np.ndarray):
@@ -249,7 +245,7 @@ def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     ds = p * q_live.sum(axis=1, keepdims=True)
     ds -= q_live
     ds /= b * state.tau
-    return val, _dz_from_score_grads(state, ds)
+    return val, ds @ state.pool
 
 
 def _pl_grad(state: ForwardState, labels: np.ndarray):
@@ -260,7 +256,7 @@ def _pl_grad(state: ForwardState, labels: np.ndarray):
     ds = live[:, None] * state.probs
     ds[rows, labels] -= live
     ds /= b * state.tau
-    return float(-state.log_probs[rows, labels].sum()) / b, _dz_from_score_grads(state, ds)
+    return float(-state.log_probs[rows, labels].sum()) / b, ds @ state.pool
 
 
 def hard_negative_slots(state: ForwardState) -> np.ndarray:
@@ -279,11 +275,6 @@ def hard_negative_slots(state: ForwardState) -> np.ndarray:
     np.clip(c, EPS_PROB, 1.0, out=c)
     c[~negatives] = -np.inf
     return np.argmax(c, axis=1)
-
-
-def positives_mean(state: ForwardState) -> np.ndarray:
-    """Mean of the per-query positive embeddings."""
-    return state.positives.mean(axis=0)
 
 
 def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):
@@ -308,7 +299,7 @@ def _robust_terms(state: ForwardState, w, n_act: int, slots, delta_s: float):
     """Uniformity, gap, filtered entropy and hard-mining values, and their summed dz."""
     terms = [
         _uniformity_grad(state.z),
-        _gap_grad(state.z, positives_mean(state), delta_s),
+        _gap_grad(state.z, state.positives.mean(axis=0), delta_s),
         _rem_grad(state, w, n_act),
         _rhm_grad(state, w, n_act, slots),
     ]
@@ -343,11 +334,11 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric), initial=0.0)) / scale
 
 
-def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float):
-    """Seeded random instance: gallery, candidates, a generic adapter point."""
+def _gradcheck_instance(seed: int, dim: int, b: int, k: int):
+    """Seeded random instance: 48-item gallery, candidates, a generic adapter point, tau 0.5."""
     rng = np.random.default_rng(seed)
-    gallery = Gallery(l2_normalize_rows(rng.standard_normal((n, dim))))
-    k_eff = min(k, max(1, n - 1))
+    gallery = Gallery(l2_normalize_rows(rng.standard_normal((48, dim))))
+    k_eff = min(k, 47)
     cents = build_centroids(gallery, k_eff, seed)
     raw = rng.standard_normal((b, dim))
     gamma = 1.0 + 0.1 * rng.standard_normal(dim)
@@ -355,10 +346,10 @@ def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float)
 
     _, z = affine_normalize(gamma, beta, raw)
     cands = build_candidate_sets(z, gallery, cents, k_eff)
-    state = forward_state(gamma, beta, raw, cands, tau)
-    src_state = forward_state(np.ones(dim), np.zeros(dim), raw, cands, tau)
+    state = forward_state(gamma, beta, raw, cands, 0.5)
+    src_state = forward_state(np.ones(dim), np.zeros(dim), raw, cands, 0.5)
 
-    delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
+    delta_t = float(np.linalg.norm(state.z.mean(axis=0) - state.positives.mean(axis=0)))
     delta_s = max(0.0, delta_t - 0.3)
     e_b = 1.2 * float(np.median(state.entropies))
     if e_b <= 0:
@@ -366,29 +357,19 @@ def _gradcheck_instance(seed: int, dim: int, b: int, k: int, n: int, tau: float)
     return state, src_state, cands, raw, delta_s, e_b
 
 
-def gradient_check(
-    seed: int = 0,
-    dims=(16,),
-    instances: int = 20,
-    b: int = 8,
-    k: int = 4,
-    n: int = 48,
-    tau: float = 0.5,
-    h: float = 1e-5,
-    perturb: float = 0.0,
-) -> dict:
+def gradient_check(seed: int = 0, dims=(16,), instances: int = 20, b: int = 8, k: int = 4) -> dict:
     """Compare every analytic gradient against central finite differences.
 
-    Returns a report with the max relative error per loss target over all
-    seeded instances. ``perturb`` deliberately offsets the analytic gradients
-    (negative-control hook used by the tests).
+    Each instance is a 48-item gallery scored at tau 0.5, and each numeric
+    gradient takes central steps of 1e-5. Returns a report with the max
+    relative error per loss target over all seeded instances.
     """
     worst = dict.fromkeys(("uniformity", "gap", "rem", "rhm", "em", "kl", "total"), 0.0)
 
     for dim in dims:
         for inst in range(instances):
             state, src_state, cands, raw, delta_s, e_b = _gradcheck_instance(
-                seed * 10_000 + inst, dim, b, k, n, tau
+                seed * 10_000 + inst, dim, b, k
             )
             w = rem_weights(state.entropies, e_b)
             n_act = int(np.count_nonzero(w))
@@ -400,7 +381,7 @@ def gradient_check(
 
             terms = {
                 "uniformity": lambda st: _uniformity_grad(st.z),
-                "gap": lambda st: _gap_grad(st.z, positives_mean(st), delta_s),
+                "gap": lambda st: _gap_grad(st.z, st.positives.mean(axis=0), delta_s),
                 "rem": lambda st: _rem_grad(st, w, n_act),
                 "rhm": lambda st: _rhm_grad(st, w, n_act, slots),
                 "em": _em_grad,
@@ -411,13 +392,11 @@ def gradient_check(
             theta0 = np.concatenate([state.gamma, state.beta])
             for term, fn in terms.items():
                 ga = param_grad(state, fn(state)[1])
-                if perturb:
-                    ga = ga + perturb
 
                 def value(theta, fn=fn):
-                    return fn(forward_state(theta[:dim], theta[dim:], raw, cands, tau))[0]
+                    return fn(forward_state(theta[:dim], theta[dim:], raw, cands, state.tau))[0]
 
-                gn = finite_diff_grad(value, theta0, h)
+                gn = finite_diff_grad(value, theta0)
                 worst[term] = max(worst[term], _relative_error(ga, gn))
 
     max_err = max(worst.values())

@@ -2,9 +2,11 @@
 
 Benchmarks are class-prototype mixtures on the unit sphere. Corruptions act on
 RAW (pre-adapter) query vectors so a well-placed affine adapter can invert a
-mean shift and recover a collapsed spread; this keeps end-to-end improvement
-achievable by construction. All randomness flows through numpy's PCG64
-generator seeded explicitly, so every artifact is bit-reproducible.
+mean shift and recover a collapsed spread. A stream whose queries each draw
+their own domain is no such case: there a least-squares oracle head fit with
+the labels scores below identity, so no global affine head can gain. All
+randomness flows through numpy's PCG64 generator seeded explicitly, so every
+artifact is bit-reproducible.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from csr import csr_rows
-from queryshift import adapt, cli, synth
+from queryshift import adapt, cli, losses, synth
 from queryshift.cli import (
     _config_echo,
     _stream_metrics,
@@ -709,14 +709,21 @@ class TestCmdProbe:
         assert lams == [1.0, 1.5, 2.0]
 
 
+def offset_analytic_gradients(monkeypatch):
+    """Negative control: every analytic gradient the gate checks is off by 1e-2."""
+    grad = losses.param_grad
+    monkeypatch.setattr(losses, "param_grad", lambda state, dz: grad(state, dz) + 1e-2)
+
+
 class TestCmdGradcheckAndMetrics:
     def test_gradcheck_passes(self):
         report = cmd_gradcheck(seed=0)
         assert report["passed"]
         assert report["max_relative_error"] < 1e-4
 
-    def test_gradcheck_negative_control(self):
-        report = cmd_gradcheck(seed=0, perturb=1e-2)
+    def test_gradcheck_negative_control(self, monkeypatch):
+        offset_analytic_gradients(monkeypatch)
+        report = cmd_gradcheck(seed=0)
         assert not report["passed"]
 
     def test_metrics_report(self):
@@ -809,6 +816,14 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(config_dict(method="rest")), encoding="utf-8")
         assert main(["--config", str(cfg_path), "adapt", "--seed", "-2"]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
+
+    def test_failed_gradcheck_exit_four(self, tmp_path, monkeypatch):
+        offset_analytic_gradients(monkeypatch)
+        out = tmp_path / "gradcheck.json"
+        assert main(["gradcheck", "--out", str(out)]) == 4
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["passed"] is False
+        assert report["max_relative_error"] >= report["tolerance"]
 
     def test_negative_gradcheck_seed_exit_two(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == 2

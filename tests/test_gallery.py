@@ -65,6 +65,12 @@ class TestGallery:
         assert g.center is g.center
         assert not g.center.flags.writeable
 
+    def test_first_copy(self):
+        g = Gallery(EXACT_POOL[[3, 5, 3, 9, 5, 3]])
+        assert g.first_copy.tolist() == [0, 1, 0, 3, 1, 0]
+        assert not g.first_copy.flags.writeable
+        assert random_gallery(40, 4, 0).first_copy is None
+
     def test_items_are_frozen(self):
         g = random_gallery(4, 3, 0)
         with pytest.raises(ValueError):
@@ -262,6 +268,18 @@ class TestKnn:
             for k in {1, n, int(rng.integers(1, n + 1))}:
                 want = [linear_scan_oracle(g.items, q, k) for q in queries]
                 assert knn_table(g, queries, k).tolist() == want
+
+    def test_repeated_rows_match_pair_oracle(self):
+        # Identical rows tie exactly and go to the lower id, though one
+        # float64 product of a query block and the gallery can score them
+        # an ulp apart by column.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            g = repeated_row_gallery(rng, int(rng.integers(8, 700)), int(rng.integers(8, 33)))
+            queries = rng.standard_normal((int(rng.integers(1, 65)), g.dim))
+            k = int(rng.integers(1, min(50, g.size) + 1))
+            pair = (queries[:, None, :] * g.items[None]).sum(axis=2)
+            assert np.array_equal(knn_table(g, queries, k), lexsort_oracle(pair, k)), seed
 
     @pytest.mark.parametrize("block", [1 << 20, 5 * 37, 4 * 37 + 3, 2 * 37, 3])
     def test_buffered_blocks_match_per_block_scoring(self, monkeypatch, block):

@@ -22,7 +22,6 @@ from queryshift.losses import (
     gradient_check,
     hard_negative_slots,
     param_grad,
-    positives_mean,
     rem_weights,
     total_loss_and_grad,
 )
@@ -107,14 +106,14 @@ class TestLossGap:
     def test_rectified_gap_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         state = positives_state(z, z)
-        assert _gap_grad(state.z, positives_mean(state), 0.0)[0] == pytest.approx(0.0)
+        assert _gap_grad(state.z, state.positives.mean(axis=0), 0.0)[0] == pytest.approx(0.0)
 
     def test_arithmetic(self):
         # Query and positive means are 0.5 apart, with delta_s = 0.2.
         z_q = np.array([[1.0, 0.0], [-1.0, 0.0]])
         z_pos = np.array([[0.5, math.sqrt(0.75)], [0.5, -math.sqrt(0.75)]])
         state = positives_state(z_q, z_pos)
-        val, _ = _gap_grad(state.z, positives_mean(state), 0.2)
+        val, _ = _gap_grad(state.z, state.positives.mean(axis=0), 0.2)
         assert val == pytest.approx((0.5 - 0.2) ** 2)
 
     def test_descent_drives_gap_to_target(self):
@@ -126,7 +125,7 @@ class TestLossGap:
         gaps = []
         for _ in range(25):
             st = forward_state(gamma, beta, raw, cands, state.tau)
-            pos_mean = positives_mean(st)
+            pos_mean = st.positives.mean(axis=0)
             val, dz = _gap_grad(st.z, pos_mean, delta_s)
             gaps.append(abs(math.sqrt(val)))
             g = param_grad(st, dz)
@@ -313,7 +312,7 @@ class TestTotalLossAndGrad:
         _, z = affine_normalize(gamma, beta, raw)
         cands = build_candidate_sets(z, gallery, cents, 3)
         state = forward_state(gamma, beta, raw, cands, 0.5)
-        delta_t = float(np.linalg.norm(state.z.mean(axis=0) - positives_mean(state)))
+        delta_t = float(np.linalg.norm(state.z.mean(axis=0) - state.positives.mean(axis=0)))
         constraints = ConstraintEstimates(gap_source=delta_t, entropy_threshold=1e-9)
         breakdown, grad = total_loss_and_grad(state, constraints)
         assert breakdown.l_u == pytest.approx(1.0)
@@ -343,7 +342,7 @@ class TestTotalLossAndGrad:
         w = rem_weights(state.entropies, e_b)
         n_act = int(np.count_nonzero(w))
         slots = hard_negative_slots(state)
-        pos_mean = positives_mean(state)
+        pos_mean = state.positives.mean(axis=0)
         d = state.dim
 
         def frozen_total(theta):
@@ -392,8 +391,11 @@ class TestGradientCheckHarness:
         report = gradient_check(seed=1, dims=(8,), instances=3)
         assert report["passed"]
 
-    def test_perturbed_fails(self):
-        report = gradient_check(seed=1, dims=(8,), instances=1, perturb=1e-2)
+    def test_perturbed_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            "queryshift.losses.param_grad", lambda state, dz: param_grad(state, dz) + 1e-2
+        )
+        report = gradient_check(seed=1, dims=(8,), instances=1)
         assert not report["passed"]
 
     def test_minimal_dimension(self):
@@ -589,7 +591,7 @@ class TestPaddedBatch:
     def test_gradient_check_instances_are_ragged(self):
         # The instances of the gradient gate (criterion 1) mix candidate counts.
         for inst in range(3):
-            state = _gradcheck_instance(inst, 16, 8, 4, 48, 0.5)[0]
+            state = _gradcheck_instance(inst, 16, 8, 4)[0]
             assert len(set(state.mask.sum(axis=1).tolist())) > 1
 
 
