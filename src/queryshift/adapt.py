@@ -21,9 +21,8 @@ from .gallery import CentroidSet, Gallery, build_centroids, knn_table
 from .losses import (
     ForwardState,
     LossBreakdown,
-    _em_grad,
     _kl_grad,
-    _pl_grad,
+    _rem_grad,
     affine_normalize,
     forward_state,
     param_grad,
@@ -162,18 +161,10 @@ def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
         raise DimMismatchError(f"gradient shapes differ: {g_d.shape} vs {g_r.shape}")
     w_d = float(np.exp(-max(kl, 0.0)))
     denom = float(np.dot(g_r, g_r))
-    if denom < 1e-24:
-        g_parallel = np.zeros_like(g_d)
-        return DecoupledGradient(
-            g_parallel=g_parallel, g_perp=g_d.copy(), g_hat=w_d * g_d, w_d=w_d
-        )
     dot = float(np.dot(g_d, g_r))
-    g_parallel = (dot / denom) * g_r
+    g_parallel = (dot / denom if denom >= 1e-24 else 0.0) * g_r
     g_perp = g_d - g_parallel
-    if dot >= 0:
-        g_hat = w_d * (g_perp + g_parallel)
-    else:
-        g_hat = w_d * g_perp
+    g_hat = w_d * (g_perp + g_parallel if dot >= 0 else g_perp)
     return DecoupledGradient(g_parallel=g_parallel, g_perp=g_perp, g_hat=g_hat, w_d=w_d)
 
 
@@ -264,9 +255,14 @@ class AdaptationSession:
                 grad, breakdown, queue = self._rest_gradient(state, cands, diagnostics)
             else:
                 if method == "tent":
-                    val, dz = _em_grad(state)
+                    # Tent is the entropy term with no query filtered out.
+                    val, dz = _rem_grad(state, np.ones(state.batch_size), state.batch_size)
                 else:
-                    val, dz = _pl_grad(state, np.argmax(self._source_probs(state, cands), axis=1))
+                    # Pseudo-labeling is the KL from the one-hot source argmax.
+                    labels = np.argmax(self._source_probs(state, cands), axis=1)
+                    target = np.zeros_like(state.probs)
+                    target[np.arange(state.batch_size), labels] = 1.0
+                    val, dz = _kl_grad(state, target)
                 grad = param_grad(state, dz)
                 diagnostics.objective = val
             params = sgd_step(params, grad, self.config.lr)

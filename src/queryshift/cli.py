@@ -317,6 +317,8 @@ def _load_inputs(cfg: RunConfig):
         return gallery, stream, truth
     g_arr = read_embeddings(cfg.paths["gallery"])
     stream = read_embeddings(cfg.paths["queries"])
+    if stream.shape[0] == 0:
+        raise BadInputError(f"{cfg.paths['queries']}: no query rows")
     if g_arr.shape[1] != stream.shape[1]:
         raise BadInputError("gallery and query dims differ")
     # float32 storage perturbs unit norms; re-normalize in float64.

@@ -219,15 +219,11 @@ def _rhm_grad(state: ForwardState, w: np.ndarray, n_act: int, slots: np.ndarray)
     return float((w * h).sum() / n_act), dz
 
 
-def _em_grad(state: ForwardState):
-    val = float(state.entropies.mean())
-    return val, _entropy_score_grads(state) @ state.pool / state.batch_size
-
-
 def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     """Mean KL from frozen source predictions to current ones, with gradient.
 
     Where the predictions coincide the KL is exactly 0 and the gradient roundoff.
+    A one-hot ``src_probs`` makes it the cross-entropy to those pseudo-labels.
     """
     q = np.asarray(src_probs, dtype=np.float64)
     p = state.probs
@@ -246,17 +242,6 @@ def _kl_grad(state: ForwardState, src_probs: np.ndarray):
     ds -= q_live
     ds /= b * state.tau
     return val, ds @ state.pool
-
-
-def _pl_grad(state: ForwardState, labels: np.ndarray):
-    """Cross-entropy against fixed pseudo-labels, with gradient."""
-    b = state.batch_size
-    rows = np.arange(b)
-    live = state.live[rows, labels]
-    ds = live[:, None] * state.probs
-    ds[rows, labels] -= live
-    ds /= b * state.tau
-    return float(-state.log_probs[rows, labels].sum()) / b, ds @ state.pool
 
 
 def hard_negative_slots(state: ForwardState) -> np.ndarray:
@@ -384,7 +369,7 @@ def gradient_check(seed: int = 0, dims=(16,), instances: int = 20, b: int = 8, k
                 "gap": lambda st: _gap_grad(st.z, st.positives.mean(axis=0), delta_s),
                 "rem": lambda st: _rem_grad(st, w, n_act),
                 "rhm": lambda st: _rhm_grad(st, w, n_act, slots),
-                "em": _em_grad,
+                "em": lambda st: _rem_grad(st, np.ones(st.batch_size), st.batch_size),
                 "kl": lambda st: _kl_grad(st, src_state.probs),
                 "total": total,
             }

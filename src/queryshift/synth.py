@@ -282,39 +282,26 @@ def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
 def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
 
-    The pairs are gathered once, in blocks of at most ``SCORE_BLOCK``
-    values. A block holds whole queries, except that a query with more
-    pairs than one block holds is cut every block's worth of pairs from its
-    own first pair. Each query's rows are summed in order, so its sum does
-    not depend on which queries share its blocks: the sums of ``truth[a:b]``
-    are rows a..b-1 of the sums of ``truth``, bit for bit.
+    The pairs are gathered once, in blocks of whole queries of at most
+    ``SCORE_BLOCK`` values; a query with more pairs than that is gathered
+    alone. Each query's rows are summed in order, so its sum does not depend
+    on which queries share its block: the sums of ``truth[a:b]`` are rows
+    a..b-1 of the sums of ``truth``, bit for bit.
     """
     z_g = np.asarray(z_g, dtype=np.float64)
     indptr, ids = truth.indptr, truth.indices
-    out = np.zeros((len(truth), z_g.shape[1]))
-    for lo, hi in _pair_blocks(indptr, max(1, _gallery.SCORE_BLOCK // z_g.shape[1])):
-        # The queries whose pairs start in the block, and the one it may start inside.
-        first = int(np.searchsorted(indptr, lo, side="right")) - 1
-        last = int(np.searchsorted(indptr, hi, side="left"))
-        cuts = np.maximum(indptr[first:last], lo)
-        out[first:last] += np.add.reduceat(z_g.take(ids[lo:hi], axis=0), cuts - lo, axis=0)
+    step = max(1, _gallery.SCORE_BLOCK // z_g.shape[1])
+    out = np.empty((len(truth), z_g.shape[1]))
+    first = 0
+    while first < len(truth):
+        # The whole queries whose pairs fit in one block from ``first``'s first pair.
+        fit = int(np.searchsorted(indptr, indptr[first] + step, side="right")) - 1
+        last = max(first + 1, fit)
+        lo, hi = indptr[first], indptr[last]
+        rows = z_g.take(ids[lo:hi], axis=0)
+        out[first:last] = np.add.reduceat(rows, indptr[first:last] - lo, axis=0)
+        first = last
     return out
-
-
-def _pair_blocks(indptr: np.ndarray, step: int):
-    """(lo, hi) pair ranges of at most ``step`` pairs for ``relevant_sums``."""
-    bounds = indptr.tolist()
-    lo = 0
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - lo > step:
-            # The query does not fit: it starts a block, cut every step pairs.
-            if start > lo:
-                yield lo, start
-            lo = start
-            while stop - lo > step:
-                yield lo, lo + step
-                lo += step
-    yield lo, bounds[-1]
 
 
 def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth,

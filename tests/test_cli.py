@@ -870,7 +870,7 @@ class TestMainEntry:
         # A NaN gradient makes the stepped parameters themselves non-finite.
         cfg_path.write_text(json.dumps(config_dict(method="tent")), encoding="utf-8")
         monkeypatch.setattr(
-            adapt, "_em_grad", lambda state: (0.0, np.full(state.z.shape, np.nan))
+            adapt, "_rem_grad", lambda state, w, n_act: (0.0, np.full(state.z.shape, np.nan))
         )
         assert main(argv) == 3
         assert "parameters are no longer finite" in capsys.readouterr().err
@@ -975,6 +975,25 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), command]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad gallery file"), err
+
+    @pytest.mark.parametrize("command", ["adapt", "metrics", "probe"])
+    def test_empty_query_file_exit_three(self, tmp_path, capsys, command):
+        files = cmd_synth(parse_config(config_dict()), tmp_path / "bench")["files"]
+        write_embeddings(files["queries_corrupt"], np.zeros((0, BASE_SYNTH["dim"])))
+        Path(files["ground_truth"]).write_text("", encoding="utf-8")
+        cfg = {
+            "method": "none",
+            "paths": {
+                "gallery": files["gallery"],
+                "queries": files["queries_corrupt"],
+                "ground_truth": files["ground_truth"],
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(cfg_path), command]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {files['queries_corrupt']}: no query rows"], err
 
     def test_missing_file_exit_three(self, tmp_path):
         cfg = {

@@ -9,11 +9,9 @@ from queryshift.adapt import AdaptationSession, SessionConfig
 from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
 from queryshift.gallery import CentroidSet, Gallery, build_centroids
 from queryshift.losses import (
-    _em_grad,
     _gap_grad,
     _gradcheck_instance,
     _kl_grad,
-    _pl_grad,
     _rem_grad,
     _rhm_grad,
     _uniformity_grad,
@@ -56,6 +54,18 @@ def hand_state(cosines, tau):
     cands = [np.stack([c, np.sqrt(1.0 - c**2)], axis=1) for c in map(np.asarray, cosines)]
     raw = np.tile([1.0, 0.0], (len(cands), 1))
     return forward_state(np.ones(2), np.zeros(2), raw, pool_of(cands), tau)
+
+
+def em_grad(state):
+    """Tent's entropy loss: the REM term with every query kept."""
+    return _rem_grad(state, np.ones(state.batch_size), state.batch_size)
+
+
+def pl_grad(state, labels):
+    """Pseudo-label cross-entropy: the KL term from one-hot ``labels``."""
+    one_hot = np.zeros_like(state.probs)
+    one_hot[np.arange(state.batch_size), labels] = 1.0
+    return _kl_grad(state, one_hot)
 
 
 def weighted(state, e_b):
@@ -259,11 +269,11 @@ class TestLossEm:
         # A margin of 2 at tau 0.002 underflows the negatives to exactly 0.
         state = hand_state([[1.0, -1.0, -1.0]], 0.002)
         assert state.probs[0].tolist() == [1.0, 0.0, 0.0]
-        assert _em_grad(state)[0] == 0.0
+        assert em_grad(state)[0] == 0.0
 
     def test_uniform(self):
         state = hand_state([[0.1] * 4], 0.5)
-        assert _em_grad(state)[0] == pytest.approx(math.log(4), abs=1e-12)
+        assert em_grad(state)[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_entropy_derivative_favors_easy_negatives(self):
         # d/dp of the entropy summand is -(ln p + 1); compare magnitudes.
@@ -407,6 +417,10 @@ class TestGradientCheckHarness:
         for term, err in report["targets"].items():
             assert err < 1e-4, f"{term} off by {err}"
 
+    def test_report_names_every_target(self):
+        report = gradient_check(seed=0, dims=(4,), instances=1)
+        assert list(report["targets"]) == ["uniformity", "gap", "rem", "rhm", "em", "kl", "total"]
+
 
 def ragged_instance(sizes=(2, 6, 11, 3, 4), d=6, seed=30, tau=0.5):
     """Forward state over a block-diagonal pool of candidate lists of different lengths."""
@@ -468,9 +482,9 @@ def assert_matches_per_query_loop(state, raw, cands):
     got = {
         "rem": _rem_grad(state, w, n_act),
         "rhm": _rhm_grad(state, w, n_act, slots),
-        "em": _em_grad(state),
+        "em": em_grad(state),
         "kl": _kl_grad(state, src.probs),
-        "pl": _pl_grad(state, labels),
+        "pl": pl_grad(state, labels),
     }
     for term, (val, dz) in got.items():
         want_val, want_dz = ref[term]
@@ -547,8 +561,8 @@ class TestPaddedBatch:
             assert np.all(np.isfinite(grad))
             for val, dz in (
                 _kl_grad(state, src.probs),
-                _em_grad(state),
-                _pl_grad(state, np.argmax(src.probs, axis=1)),
+                em_grad(state),
+                pl_grad(state, np.argmax(src.probs, axis=1)),
             ):
                 assert np.isfinite(val) and np.all(np.isfinite(dz))
 
@@ -572,9 +586,9 @@ class TestPaddedBatch:
         terms = {
             "rem": lambda st: _rem_grad(st, w, n_act),
             "rhm": lambda st: _rhm_grad(st, w, n_act, slots),
-            "em": _em_grad,
+            "em": em_grad,
             "kl": lambda st: _kl_grad(st, src.probs),
-            "pl": lambda st: _pl_grad(st, labels),
+            "pl": lambda st: pl_grad(st, labels),
         }
         d = state.dim
         theta0 = np.concatenate([state.gamma, state.beta])

@@ -478,8 +478,9 @@ class TestMetrics:
         want = np.array([z_g[rel].sum(axis=0) for rel in csr_rows(truth)])
         cuts = (0, 1, 7, 8, 20, 31)
         # One block; then 1, 3 and 10 pairs (dim 4) per block, so that most
-        # queries span several blocks. Within one block size, a query's sum
-        # does not depend on the queries it is built with.
+        # queries are wider than a block and are gathered alone. Within one
+        # block size, a query's sum does not depend on the queries it is
+        # built with.
         for block in (1 << 20, 4, 12, 40, 1):
             monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
             whole = relevant_sums(z_g, truth)
