@@ -20,7 +20,6 @@ import math
 import struct
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,25 +111,24 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     Every rejection names the file line at fault.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
-    # np.loadtxt reads the common, ASCII-only file fast. Given a bad field
-    # holding non-ASCII text it can crash the process, so other files are read
-    # line by line, as is every file it cannot take, to name the bad line.
-    # numpy 1.x reads an int field such as 1.9 through float with only a
-    # DeprecationWarning; raised as an error, it also sends the file there.
-    pairs = None
-    rows = list(filter(str.strip, text.splitlines())) if text.isascii() else []
-    if rows:
+    # A file whose every line is digits<TAB>digits<LF>, as write_ground_truth
+    # writes it, is parsed in one pass, and so is any other once reduced to its
+    # non-blank lines. Such a file holds only ASCII digits, tabs, line ends and
+    # blank lines of ASCII whitespace, so the line loop would read the same
+    # pairs from it. Every other file, such as one with a padded or signed
+    # field, and every file with a bad line go through the line loop, which
+    # names the line at fault.
+    pairs = _tab_pairs(data)
+    if pairs is None:
+        pairs = _tab_pairs(b"\n".join(filter(bytes.strip, data.splitlines())) + b"\n")
+    if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
-            pass
-    limits = np.array([num_queries, gallery_size])
-    if pairs is None or pairs.shape[1] != 2 or np.any((pairs < 0) | (pairs >= limits)):
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadInputError(f"cannot read {path}: {exc}") from exc
         pairs = _pairs_by_line(path, text, num_queries, gallery_size)
     keys = np.sort(pairs[:, 0] * gallery_size + pairs[:, 1])
     keys = keys[np.diff(keys, prepend=-1) > 0]
@@ -139,6 +137,23 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
         raise BadInputError(f"{path}: query {int(np.argmin(counts))} has no relevant items")
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return GroundTruth(indptr=indptr, indices=keys % gallery_size)
+
+
+def _tab_pairs(data: bytes) -> np.ndarray | None:
+    """The (query, gallery) pairs of ``data`` if its every line is
+    ``digits<TAB>digits<LF>``, else None.
+
+    A field too large for int64 reads as the int64 maximum, which no range
+    admits.
+    """
+    seps = data.translate(None, b"0123456789")
+    if not data.endswith(b"\n") or seps != b"\t\n" * (len(seps) // 2):
+        return None
+    # A field is empty where the file opens with a separator or one follows another.
+    is_sep = np.frombuffer(data, dtype=np.uint8) < ord("0")
+    if is_sep[0] or (is_sep[1:] & is_sep[:-1]).any():
+        return None
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _pairs_by_line(path, text: str, num_queries: int, gallery_size: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatchError, EmptyBatchError, InvalidSpecError
-from . import gallery as _gallery
 from .gallery import Gallery
 from .vectors import l2_normalize_rows
 
@@ -32,6 +31,11 @@ CORRUPTION_FIELDS = {
 
 # Fixed tag mixed into the per-domain shift-direction seed.
 _DIRECTION_TAG = 0x5D1F7
+
+# Most values one relevant_sums gather takes (512 KB of float64), so a block
+# stays in a core's L2 cache. With gallery.SCORE_BLOCK's 4 MB blocks, sums over
+# a 120,002-pair truth took 44 ms against 13 ms (Xeon, 2 MiB L2 per core).
+_SUM_BLOCK = 1 << 16
 
 # The first_hits rank of a query none of whose ranked ids is relevant; a miss at every k.
 NO_HIT = np.iinfo(np.int64).max
@@ -283,14 +287,14 @@ def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
 
     The pairs are gathered once, in blocks of whole queries of at most
-    ``SCORE_BLOCK`` values; a query with more pairs than that is gathered
+    ``_SUM_BLOCK`` values; a query with more pairs than that is gathered
     alone. Each query's rows are summed in order, so its sum does not depend
     on which queries share its block: the sums of ``truth[a:b]`` are rows
     a..b-1 of the sums of ``truth``, bit for bit.
     """
     z_g = np.asarray(z_g, dtype=np.float64)
     indptr, ids = truth.indptr, truth.indices
-    step = max(1, _gallery.SCORE_BLOCK // z_g.shape[1])
+    step = max(1, _SUM_BLOCK // z_g.shape[1])
     out = np.empty((len(truth), z_g.shape[1]))
     first = 0
     while first < len(truth):

@@ -161,21 +161,29 @@ def read_ground_truth_by_lines(path, num_queries, gallery_size):
 
 
 def random_truth_text(rng, num_queries, gallery_size):
-    """Every query covered, pairs shuffled and repeated, ids padded, signed or
-    zero-filled, blank and whitespace-only lines, mixed line endings."""
+    """Every query covered, pairs shuffled and repeated, ids zero-filled. A
+    third of the files are plain LF lines of digits. The others hold blank and
+    whitespace-only lines and mixed line endings, and half of them pad or sign
+    ids."""
     pairs = [(q, int(rng.integers(0, gallery_size))) for q in range(num_queries)]
     pairs += [
         (int(rng.integers(0, num_queries)), int(rng.integers(0, gallery_size)))
         for _ in range(int(rng.integers(0, 3 * num_queries)))
     ]
     pairs += [pairs[int(i)] for i in rng.integers(0, len(pairs), int(rng.integers(0, 5)))]
-    # Half the files are ASCII only, the fast path's input.
+    order = [pairs[int(i)] for i in rng.permutation(len(pairs))]
+    zeros = lambda: str(rng.choice(["", "", "0", "00"]))
+    if rng.random() < 1 / 3:
+        return "".join(f"{zeros()}{q}\t{zeros()}{g}\n" for q, g in order)
+    # Half the other files hold a non-ASCII space.
     spaces = ["", "", " ", "  "] + (["\xa0"] if rng.random() < 0.5 else [])
     pad = lambda: str(rng.choice(spaces))
-    num = lambda v: pad() + str(rng.choice(["", "", "+", "0", "00"])) + str(v) + pad()
+    if rng.random() < 0.5:
+        num = lambda v: pad() + str(rng.choice(["", "", "+", "0", "00"])) + str(v) + pad()
+    else:
+        num = lambda v: zeros() + str(v)
     lines = []
-    for i in rng.permutation(len(pairs)):
-        q, g = pairs[int(i)]
+    for q, g in order:
         while rng.random() < 0.2:
             lines.append(str(rng.choice(["", " ", "\t", " \t "] + spaces)))
         lines.append(f"{num(q)}\t{num(g)}")
@@ -196,6 +204,32 @@ class TestGroundTruthFile:
             assert csr_rows(truth) == [sorted(r) for r in want]
             assert truth.indices.tolist() == [i for rel in want for i in sorted(rel)]
 
+    def test_tab_files_parse_without_the_line_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(31)
+        truth = GroundTruth.from_sets(
+            frozenset(rng.choice(50, int(rng.integers(1, 6)), replace=False).tolist())
+            for _ in range(20)
+        )
+        path = tmp_path / "gt.tsv"
+        write_ground_truth(path, truth)
+        lf = path.read_bytes()
+
+        def line_loop(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(cli, "_pairs_by_line", line_loop)
+        # As written; CRLF; blank lines; no final line feed.
+        copies = (lf, lf.replace(b"\n", b"\r\n"), b"\n \n" + lf.replace(b"\n", b"\n\t\n"), lf[:-1])
+        for data in copies:
+            path.write_bytes(data)
+            back = read_ground_truth(path, 20, 50)
+            assert np.array_equal(back.indptr, truth.indptr)
+            assert np.array_equal(back.indices, truth.indices)
+        monkeypatch.undo()
+        path.write_bytes(b"0\t1\n1\t2\x00\n1\t3\n")
+        with pytest.raises(BadInputError, match=r"gt\.tsv:2: non-integer index"):
+            read_ground_truth(path, 2, 4)
+
     def test_duplicates_collapse_and_rows_sort(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_bytes(b"1\t3\r\n0\t2\r\n1\t0\r\n\r\n1\t3\r\n  \r\n0\t2")
@@ -208,7 +242,6 @@ class TestGroundTruthFile:
         path.write_text("\n \n", encoding="utf-8")
         assert len(read_ground_truth(path, 0, 4)) == 0
 
-    # Blank lines come first, so the bad line's number differs from its row.
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -225,15 +258,22 @@ class TestGroundTruthFile:
     )
     def test_rejection_names_the_file_line(self, tmp_path, bad, message):
         path = tmp_path / "gt.tsv"
-        # The bad line is line 7; a later line is bad in another way.
-        lines = ["0\t1", "", "  ", "1\t2", "\t", "", bad, "1\t3", "0\tz", "7\t0"]
-        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-        with pytest.raises(BadInputError) as got:
-            read_ground_truth(path, 2, 4)
-        assert str(got.value) == f"{path}:7: {message}"
-        with pytest.raises(BadInputError) as old:
-            read_ground_truth_by_lines(path, 2, 4)
-        assert str(old.value) == str(got.value)
+        # The bad line is line 7; a later line is bad in another way. In the
+        # CRLF file blank lines come first, so the bad line's number differs
+        # from its row. The LF file has no blank line and its other lines are
+        # digits only, so an out-of-range bad line is parsed in one pass first.
+        layouts = [
+            ("\r\n", ["0\t1", "", "  ", "1\t2", "\t", ""], ["1\t3", "0\tz", "7\t0"]),
+            ("\n", ["0\t1", "1\t2", "0\t3", "1\t0", "0\t2", "1\t1"], ["1\t3", "7\t0"]),
+        ]
+        for end, head, tail in layouts:
+            path.write_text(end.join(head + [bad] + tail) + end, encoding="utf-8")
+            with pytest.raises(BadInputError) as got:
+                read_ground_truth(path, 2, 4)
+            assert str(got.value) == f"{path}:7: {message}"
+            with pytest.raises(BadInputError) as old:
+                read_ground_truth_by_lines(path, 2, 4)
+            assert str(old.value) == str(got.value)
 
     def test_uncovered_query_is_named(self, tmp_path):
         path = tmp_path / "gt.tsv"
@@ -243,28 +283,14 @@ class TestGroundTruthFile:
 
     @pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff11"])
     def test_python_int_fields_read_as_before(self, tmp_path, field):
-        # np.loadtxt rejects these; the line-by-line path reads them with int().
+        # Only ASCII digits take the one-pass parse; the line loop reads these with int().
         path = tmp_path / "gt.tsv"
         path.write_text(f"\n0\t{field}\n", encoding="utf-8")
         want = [sorted(r) for r in read_ground_truth_by_lines(path, 1, 20)]
         assert csr_rows(read_ground_truth(path, 1, 20)) == want
 
-    def test_float_read_with_deprecation_falls_back_to_lines(self, tmp_path, monkeypatch):
-        # numpy 1.x reads an int64 field such as 1.9 through float and only
-        # warns; that file must still be rejected at its line.
-        def loadtxt_numpy1(rows, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-            return np.array([[int(float(f)) for f in r.split("\t")] for r in rows])
-
-        monkeypatch.setattr(cli.np, "loadtxt", loadtxt_numpy1)
-        path = tmp_path / "gt.tsv"
-        path.write_text("0\t1\n\n0\t1.9\n", encoding="utf-8")
-        with pytest.raises(BadInputError, match=r"gt\.tsv:3: non-integer index"):
-            read_ground_truth(path, 1, 4)
-
     def test_non_ascii_bad_field_rejected_by_line(self, tmp_path):
-        # np.loadtxt can crash on such a field; non-ASCII files never reach it.
+        # A non-ASCII field never takes the one-pass parse; the line loop names its line.
         path = tmp_path / "gt.tsv"
         path.write_text("0\t1\n\n0\t\U00097560\n", encoding="utf-8")
         with pytest.raises(BadInputError, match=r"gt\.tsv:3: non-integer index"):

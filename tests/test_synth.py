@@ -5,6 +5,7 @@ import pytest
 
 from csr import csr_rows
 from queryshift import gallery as gallery_mod
+from queryshift import synth as synth_mod
 from queryshift.adapt import AdapterParams, forward_adapter
 from queryshift.errors import DimMismatchError, EmptyBatchError, InvalidSpecError
 from queryshift.synth import (
@@ -465,7 +466,7 @@ class TestMetrics:
         want = consistency_by_pairs(z_q, z_g, truth)
         # One block; then 6, 10 and 1 relevant pairs (dim 5) per block.
         for block in (1 << 20, 4 * 17, 6 * 17 + 3, 1):
-            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+            monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
             assert metric_consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
 
     def test_relevant_sums_independent_of_blocks_and_slices(self, monkeypatch):
@@ -482,7 +483,7 @@ class TestMetrics:
         # block size, a query's sum does not depend on the queries it is
         # built with.
         for block in (1 << 20, 4, 12, 40, 1):
-            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", block)
+            monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
             whole = relevant_sums(z_g, truth)
             np.testing.assert_allclose(whole, want, rtol=0, atol=1e-12)
             pieces = [relevant_sums(z_g, truth[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
