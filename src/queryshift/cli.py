@@ -115,13 +115,15 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     except OSError as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
     # A file whose every line is digits<TAB>digits<LF>, as write_ground_truth
-    # writes it, is parsed in one pass, and so is any other once reduced to its
-    # non-blank lines. Such a file holds only ASCII digits, tabs, line ends and
-    # blank lines of ASCII whitespace, so the line loop would read the same
-    # pairs from it. Every other file, such as one with a padded or signed
-    # field, and every file with a bad line go through the line loop, which
-    # names the line at fault.
+    # writes it, is parsed in one pass, and so is any other once its CRLF ends
+    # are made LF or, failing that, once reduced to its non-blank lines. Such
+    # a file holds only ASCII digits, tabs, line ends and blank lines of ASCII
+    # whitespace, so the line loop would read the same pairs from it. Every
+    # other file, such as one with a padded or signed field, and every file
+    # with a bad line go through the line loop, which names the line at fault.
     pairs = _tab_pairs(data)
+    if pairs is None and b"\r\n" in data:
+        pairs = _tab_pairs(data.replace(b"\r\n", b"\n"))
     if pairs is None:
         pairs = _tab_pairs(b"\n".join(filter(bytes.strip, data.splitlines())) + b"\n")
     if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
@@ -409,16 +411,18 @@ def cmd_synth(cfg: RunConfig, out_dir) -> dict:
 def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
-    Each batch's rankings on arrival are the online result. Each query's
-    relevant-row sum and the first-hit rank of its online ranking are taken
-    once, with its batch's metrics: the report's recall counts those ranks,
-    ``none``, which never steps, reads its ``initial`` from them, and every
-    whole-stream consistency is scored against the kept sums.
+    Each batch's rankings on arrival are the online result. The first-hit
+    rank of each query's online ranking is taken once, with its batch's
+    metrics, and kept with the batch's embeddings: the report's recall
+    counts those ranks, and ``none``, which never steps, reads its
+    ``initial`` from them. The relevant-row sums are built once, after the
+    stream; each batch's consistency reads its rows of them, and so does
+    every whole-stream consistency.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
         series: dict = {}
-        sums, hits = [], []
+        zs, hits = [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
             if cfg.method == "rest":
@@ -426,21 +430,27 @@ def cmd_adapt(cfg: RunConfig) -> dict:
             else:
                 result = session.run_baseline(raw, cfg.method)
 
-            batch_truth = truth[start : start + cfg.batch]
-            sums.append(relevant_sums(gallery.items, batch_truth))
-            hits.append(first_hits(result.rankings, batch_truth))
+            zs.append(result.z)
+            hits.append(first_hits(result.rankings, truth[start : start + cfg.batch]))
             row = dataclasses.asdict(result.diagnostics)
             bd = result.breakdown
             for term in ("l_u", "l_g", "l_rem", "l_rhm"):
                 row[term] = None if bd is None else getattr(bd, term)
             row["uniformity"] = metric_uniformity(result.z)
             row["gap"] = metric_gap(result.z, gallery.center)
-            row["consistency"] = metric_consistency(result.z, gallery.items, batch_truth, sums[-1])
             row["recall_1"] = recall_of_hits(hits[-1], 1)
             for key, value in row.items():
                 series.setdefault(key, []).append(value)
 
-        sums, hits = np.concatenate(sums), np.concatenate(hits)
+        # Built after the stream: a whole-truth array allocated before it moves
+        # the heap under the batch calls, whose minor page faults then rose ~5x
+        # on a 4,096-query stream.
+        sums, hits = relevant_sums(gallery.items, truth), np.concatenate(hits)
+        cuts = range(0, stream.shape[0], cfg.batch)
+        series["consistency"] = [
+            metric_consistency(z, gallery.items, truth[a : a + cfg.batch], sums[a : a + cfg.batch])
+            for a, z in zip(cuts, zs)
+        ]
         z0 = forward_adapter(session.source_params, stream)
         if cfg.method == "none":
             initial = _stream_metrics(z0, sums, gallery, truth, hits)

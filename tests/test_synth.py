@@ -504,6 +504,52 @@ class TestMetrics:
         assert metric_consistency(z_q, None, truth, 2 * sums) == pytest.approx(
             2 * metric_consistency(z_q, z_g, truth), rel=1e-14)
 
+    def test_relevant_sums_share_equal_sets(self, monkeypatch):
+        # Each query's sum equals the sum of its own one-query slice, bit for
+        # bit, whether its set repeats, shares its length with other ids, is a
+        # prefix of another set, or shares a key with other sets: the keys
+        # forced to collide below put every query in one group.
+        rng = np.random.default_rng(16)
+        z_g = l2_normalize_rows(rng.standard_normal((30, 5)))
+        for _ in range(20):
+            sets = [rng.choice(30, int(rng.integers(1, 31)), replace=False) for _ in range(4)]
+            # Same length, other ids; the lower half of each set.
+            sets += [(s + 1) % 30 for s in sets] + [np.sort(s)[: (s.size + 1) // 2] for s in sets]
+            truth = GroundTruth.from_sets(
+                sets[i].tolist() for i in rng.integers(0, len(sets), int(rng.integers(1, 40)))
+            )
+            want = np.concatenate([relevant_sums(z_g, truth[q : q + 1]) for q in range(len(truth))])
+            for block in (1 << 20, 7):
+                monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
+                assert np.array_equal(relevant_sums(z_g, truth), want)
+                with monkeypatch.context() as m:
+                    m.setattr(synth_mod, "_set_keys", lambda t: np.zeros(len(t), np.uint64))
+                    assert np.array_equal(relevant_sums(z_g, truth), want)
+
+    def test_set_keys_wrap_without_warnings(self):
+        # Ids near 2**63 overflow the mixing multiply and the sum; uint64
+        # arrays wrap silently (a RuntimeWarning fails this test).
+        big = 2**63 - 1
+        truth = GroundTruth.from_sets(({big, 5}, {5, big}, {7}, {big - 1, 5}))
+        keys = synth_mod._set_keys(truth)
+        assert keys.dtype == np.uint64 and keys.shape == (4,)
+        assert keys[0] == keys[1] and len({int(k) for k in keys}) == 3
+
+    def test_consistency_rejects_sums_of_another_shape(self):
+        rng = np.random.default_rng(17)
+        z_g = l2_normalize_rows(rng.standard_normal((9, 32)))
+        truth = GroundTruth.from_sets([q % 9] for q in range(16))
+        z_q = l2_normalize_rows(rng.standard_normal((16, 32)))
+        sums = relevant_sums(z_g, truth)
+        # The same number of values in another shape used to be read flat.
+        with pytest.raises(DimMismatchError):
+            metric_consistency(z_q, z_g, truth, sums.reshape(8, 64))
+        with pytest.raises(DimMismatchError):
+            metric_consistency(z_q, z_g, truth, sums[:8])
+        with pytest.raises(DimMismatchError):
+            metric_consistency(z_q[:, :16], z_g, truth)
+        assert metric_consistency(z_q, z_g, truth, sums) == metric_consistency(z_q, z_g, truth)
+
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
             GroundTruth.from_sets((frozenset(),))
