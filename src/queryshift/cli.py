@@ -362,7 +362,7 @@ def _stream_metrics(z: np.ndarray, sums: np.ndarray, gallery: Gallery, truth: Gr
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.center),
-        "consistency": metric_consistency(z, gallery.items, truth, sums),
+        "consistency": metric_consistency(z, truth, sums),
         "recall": _recall(hits),
     }
 
@@ -448,7 +448,7 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         sums, hits = relevant_sums(gallery.items, truth), np.concatenate(hits)
         cuts = range(0, stream.shape[0], cfg.batch)
         series["consistency"] = [
-            metric_consistency(z, gallery.items, truth[a : a + cfg.batch], sums[a : a + cfg.batch])
+            metric_consistency(z, truth[a : a + cfg.batch], sums[a : a + cfg.batch])
             for a, z in zip(cuts, zs)
         ]
         z0 = forward_adapter(session.source_params, stream)

@@ -295,10 +295,9 @@ def _robust_terms(state: ForwardState, w, n_act: int, slots, delta_s: float):
 # Finite-difference oracle and the gradient verification gate
 # ---------------------------------------------------------------------------
 
-def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"step size h={h} outside [1e-7, 1e-3]")
+def finite_diff_grad(loss_fn, params: np.ndarray) -> np.ndarray:
+    """Central-difference gradient, at steps of 1e-5, of a scalar function of a flat vector."""
+    h = 1e-5
     params = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(params)
     for j in range(params.size):

@@ -283,20 +283,12 @@ def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
     return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
 
 
-def _set_keys(truth: GroundTruth) -> np.ndarray:
-    """A uint64 key per query that equal relevant sets share: the wrapping sum
-    of its ids, each mixed by an odd multiply and a shift."""
-    mixed = truth.indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    mixed ^= mixed >> np.uint64(31)
-    return np.add.reduceat(mixed, truth.indptr[:-1])
-
-
 def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
 
-    Queries with equal relevant sets share one sum: they are grouped by
-    ``_set_keys``, and a query whose ids differ from its group's first
-    query's keeps its own sum, so a key collision changes nothing. The
+    Queries with equal relevant sets share one sum. A set is a run of
+    sorted, unique ids, so two sets are equal exactly when their bytes are:
+    each distinct byte run gets a slot, in order of its first query. The
     distinct sets are gathered once, in blocks of whole sets of at most
     ``_SUM_BLOCK`` values; a set with more pairs than that is gathered
     alone. Each set's rows are summed in order, so its sum does not depend
@@ -304,18 +296,15 @@ def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     a..b-1 of the sums of ``truth``, bit for bit.
     """
     z_g = np.asarray(z_g, dtype=np.float64)
-    n, indptr, ids = len(truth), truth.indptr, truth.indices
-    _, head, group = np.unique(_set_keys(truth), return_index=True, return_inverse=True)
-    lead = head[group]
-    # Compare each pair with the pair at the same place in its lead's row; a
-    # lead comes no later than its queries, so that place is in range.
-    counts = np.diff(indptr)
-    row = truth.row_ids()
-    same = ids[(indptr[lead] - indptr[:-1])[row] + np.arange(ids.size)] == ids
-    own = (lead == np.arange(n)) | (counts != counts[lead])
-    own |= ~np.logical_and.reduceat(same, indptr[:-1])
-    sub_ptr = np.concatenate(([0], np.cumsum(counts[own])))
-    sub_ids = ids[own[row]]
+    indptr, ids = truth.indptr, truth.indices
+    raw, cuts = ids.tobytes(), (indptr * ids.itemsize).tolist()
+    index: dict = {}
+    slot = np.array([index.setdefault(raw[a:b], len(index)) for a, b in zip(cuts[:-1], cuts[1:])],
+                    dtype=np.int64)
+    own = np.zeros(len(truth), dtype=bool)
+    own[np.unique(slot, return_index=True)[1]] = True
+    sub_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr)[own])))
+    sub_ids = ids[own[truth.row_ids()]]
 
     step = max(1, _SUM_BLOCK // z_g.shape[1])
     sets = np.empty((sub_ptr.size - 1, z_g.shape[1]))
@@ -328,24 +317,19 @@ def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
         rows = z_g.take(sub_ids[lo:hi], axis=0)
         sets[first:last] = np.add.reduceat(rows, sub_ptr[first:last] - lo, axis=0)
         first = last
-    # A lead keeps its own sum, so it has a row of ``sets``.
-    slot = np.cumsum(own) - 1
-    return sets[slot[np.where(own, np.arange(n), lead)]]
+    return sets[slot]
 
 
-def metric_consistency(z_q: np.ndarray, z_g: np.ndarray, truth: GroundTruth,
-                       sums: np.ndarray | None = None) -> float:
+def metric_consistency(z_q: np.ndarray, truth: GroundTruth, sums: np.ndarray) -> float:
     """Mean cosine similarity over all correctly associated pairs.
 
     It is one dot product, ``vdot(z_q, sums) / pairs``, where ``sums`` is
-    ``relevant_sums(z_g, truth)``: given by a caller that holds it, or
-    built here. ``sums`` must have the shape of ``z_q``.
+    ``relevant_sums(z_g, truth)`` of the gallery rows ``z_g``, in the shape
+    of ``z_q``.
     """
     if truth.indices.size == 0:
         raise EmptyBatchError("no relevance pairs")
     z_q = np.asarray(z_q, dtype=np.float64)
-    if sums is None:
-        sums = relevant_sums(z_g, truth)
     if np.shape(sums) != z_q.shape:
         raise DimMismatchError(f"sums of shape {np.shape(sums)} do not match queries {z_q.shape}")
     return float(np.vdot(z_q, sums)) / truth.indices.size

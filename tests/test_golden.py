@@ -22,8 +22,12 @@ floats match to a relative tolerance of 1e-9, or within 1e-12 of each other
 for values at zero.
 """
 
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +168,53 @@ def test_probe_fixture_covers_every_case(golden_probe):
 @pytest.mark.parametrize("case", PROBE_CASES)
 def test_probe_report_matches_golden(golden_probe, case):
     assert_matches(golden_probe_report(case), golden_probe[case])
+
+
+# The stream-rest benchmark's shape at 512 queries: OpenBLAS's 2-thread GEMM
+# rounds some pool scores differently, and 34 of the report's 167 leaves differ
+# from the 1-thread run (by at most 2.6e-12 relative). A 16-class, 128-item
+# gallery gives equal floats at both counts, so it would test nothing.
+BLAS_CONFIG = {
+    "method": "rest",
+    "batch": 64,
+    "seed": 11,
+    "decouple": True,
+    "synth": {
+        "classes": 64,
+        "dim": 32,
+        "gallery_size": 512,
+        "stream_length": 512,
+        "sigma_query": 0.3,
+        "sigma_gallery": 0.1,
+        "seed": 11,
+        "corruptions": [
+            {"kind": "mean_shift", "delta": 1.0, "domain": 0},
+            {"kind": "uniformity_collapse", "rho": 0.6},
+            {"kind": "gaussian_noise", "sigma": 0.2},
+        ],
+    },
+}
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    """An ``adapt`` report at 1 and at 2 BLAS threads matches under the golden
+    rules: equal keys, ints and recalls, floats within RTOL / ATOL.
+
+    The thread count is read only when numpy loads, so each run is its own
+    process.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BLAS_CONFIG), encoding="utf-8")
+    src = str(Path(inspect.getfile(cmd_adapt)).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "queryshift.cli", "--config", str(config), "adapt"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(_plain(json.loads(proc.stdout)))
+    assert_matches(reports[1], reports[0])

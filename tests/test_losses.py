@@ -303,10 +303,6 @@ class TestFiniteDiffGrad:
         grad = finite_diff_grad(lambda t: float(c @ t), np.zeros(3))
         np.testing.assert_allclose(grad, c, atol=1e-8)
 
-    def test_step_size_validated(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: 0.0, np.zeros(2), h=1.0)
-
 
 class TestTotalLossAndGrad:
     def test_zero_learning_signal(self):

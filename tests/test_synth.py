@@ -45,6 +45,11 @@ def consistency_by_pairs(z_q, z_g, truth):
     return total / count
 
 
+def consistency(z_q, z_g, truth):
+    """metric_consistency of ``z_q`` against the relevant sums of ``z_g``."""
+    return metric_consistency(z_q, truth, relevant_sums(z_g, truth))
+
+
 def count_hits_by_sets(rankings, relevant, k):
     """Frozen copy of the set-based count_hits this module once had."""
     return sum(
@@ -441,19 +446,19 @@ class TestMetrics:
     def test_consistency_perfect(self):
         z = np.eye(3)
         truth = GroundTruth.from_sets((frozenset({0}), frozenset({1}), frozenset({2})))
-        assert metric_consistency(z, z, truth) == pytest.approx(1.0)
+        assert consistency(z, z, truth) == pytest.approx(1.0)
 
     def test_consistency_orthogonal(self):
         z_q = np.eye(2)
         z_g = np.array([[0.0, 1.0], [1.0, 0.0]])
         truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
-        assert metric_consistency(z_q, z_g, truth) == pytest.approx(0.0)
+        assert consistency(z_q, z_g, truth) == pytest.approx(0.0)
 
     def test_consistency_mixed_half(self):
         z_q = np.eye(2)
         z_g = np.array([[1.0, 0.0], [1.0, 0.0]])
         truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
-        assert metric_consistency(z_q, z_g, truth) == pytest.approx(0.5)
+        assert consistency(z_q, z_g, truth) == pytest.approx(0.5)
 
     def test_consistency_matches_pair_loop_across_blocks(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -467,7 +472,7 @@ class TestMetrics:
         # One block; then 6, 10 and 1 relevant pairs (dim 5) per block.
         for block in (1 << 20, 4 * 17, 6 * 17 + 3, 1):
             monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
-            assert metric_consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
+            assert consistency(z_q, z_g, truth) == pytest.approx(want, rel=1e-12)
 
     def test_relevant_sums_independent_of_blocks_and_slices(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -490,7 +495,7 @@ class TestMetrics:
             assert np.array_equal(np.concatenate(pieces), whole)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 part = truth[a:b]
-                assert metric_consistency(z_q[a:b], z_g, part) == pytest.approx(
+                assert consistency(z_q[a:b], z_g, part) == pytest.approx(
                     consistency_by_pairs(z_q[a:b], z_g, part), rel=1e-12)
         assert relevant_sums(z_g, truth[5:5]).shape == (0, 4)
 
@@ -500,40 +505,33 @@ class TestMetrics:
         z_g = l2_normalize_rows(rng.standard_normal((7, 3)))
         truth = GroundTruth.from_sets(({0, 1}, {2}, {3, 4, 5}, {6}, {0, 6}))
         sums = relevant_sums(z_g, truth)
-        assert metric_consistency(z_q, z_g, truth, sums) == metric_consistency(z_q, z_g, truth)
-        assert metric_consistency(z_q, None, truth, 2 * sums) == pytest.approx(
-            2 * metric_consistency(z_q, z_g, truth), rel=1e-14)
+        assert metric_consistency(z_q, truth, sums) == pytest.approx(
+            consistency_by_pairs(z_q, z_g, truth), rel=1e-12)
+        assert metric_consistency(z_q, truth, 2 * sums) == pytest.approx(
+            2 * metric_consistency(z_q, truth, sums), rel=1e-14)
 
     def test_relevant_sums_share_equal_sets(self, monkeypatch):
         # Each query's sum equals the sum of its own one-query slice, bit for
-        # bit, whether its set repeats, shares its length with other ids, is a
-        # prefix of another set, or shares a key with other sets: the keys
-        # forced to collide below put every query in one group.
+        # bit, whether its set repeats, shares its length with other ids or is
+        # a prefix of another set, and when every query has a set of its own.
         rng = np.random.default_rng(16)
         z_g = l2_normalize_rows(rng.standard_normal((30, 5)))
+        truths = []
         for _ in range(20):
             sets = [rng.choice(30, int(rng.integers(1, 31)), replace=False) for _ in range(4)]
             # Same length, other ids; the lower half of each set.
             sets += [(s + 1) % 30 for s in sets] + [np.sort(s)[: (s.size + 1) // 2] for s in sets]
-            truth = GroundTruth.from_sets(
+            truths.append(GroundTruth.from_sets(
                 sets[i].tolist() for i in rng.integers(0, len(sets), int(rng.integers(1, 40)))
-            )
+            ))
+        # All distinct: 30 one-id sets, then 29 two-id runs, in shuffled order.
+        distinct = [[i] for i in range(30)] + [[i, i + 1] for i in range(29)]
+        truths.append(GroundTruth.from_sets(distinct[i] for i in rng.permutation(len(distinct))))
+        for truth in truths:
             want = np.concatenate([relevant_sums(z_g, truth[q : q + 1]) for q in range(len(truth))])
             for block in (1 << 20, 7):
                 monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
                 assert np.array_equal(relevant_sums(z_g, truth), want)
-                with monkeypatch.context() as m:
-                    m.setattr(synth_mod, "_set_keys", lambda t: np.zeros(len(t), np.uint64))
-                    assert np.array_equal(relevant_sums(z_g, truth), want)
-
-    def test_set_keys_wrap_without_warnings(self):
-        # Ids near 2**63 overflow the mixing multiply and the sum; uint64
-        # arrays wrap silently (a RuntimeWarning fails this test).
-        big = 2**63 - 1
-        truth = GroundTruth.from_sets(({big, 5}, {5, big}, {7}, {big - 1, 5}))
-        keys = synth_mod._set_keys(truth)
-        assert keys.dtype == np.uint64 and keys.shape == (4,)
-        assert keys[0] == keys[1] and len({int(k) for k in keys}) == 3
 
     def test_consistency_rejects_sums_of_another_shape(self):
         rng = np.random.default_rng(17)
@@ -543,12 +541,13 @@ class TestMetrics:
         sums = relevant_sums(z_g, truth)
         # The same number of values in another shape used to be read flat.
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q, z_g, truth, sums.reshape(8, 64))
+            metric_consistency(z_q, truth, sums.reshape(8, 64))
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q, z_g, truth, sums[:8])
+            metric_consistency(z_q, truth, sums[:8])
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q[:, :16], z_g, truth)
-        assert metric_consistency(z_q, z_g, truth, sums) == metric_consistency(z_q, z_g, truth)
+            metric_consistency(z_q[:, :16], truth, sums)
+        assert metric_consistency(z_q, truth, sums) == pytest.approx(
+            consistency_by_pairs(z_q, z_g, truth), rel=1e-12)
 
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
@@ -583,6 +582,6 @@ class TestMetrics:
         perm = rng.permutation(6)
         rows = csr_rows(truth)
         truth_p = GroundTruth.from_sets(rows[i] for i in perm)
-        a = metric_consistency(z_q, z_g, truth)
-        b = metric_consistency(z_q[perm], z_g, truth_p)
+        a = consistency(z_q, z_g, truth)
+        b = consistency(z_q[perm], z_g, truth_p)
         assert a == pytest.approx(b, abs=1e-12)
