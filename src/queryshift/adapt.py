@@ -29,7 +29,6 @@ from .losses import (
     total_loss_and_grad,
 )
 from .refine import (
-    CandidateBatch,
     SourceLikeQueue,
     build_candidate_sets,
     estimate_constraints,
@@ -38,7 +37,8 @@ from .refine import (
 )
 from .vectors import softmax_temp
 
-_BASELINES = ("tent", "pl", "none")
+# Every method a run can name: ``rest`` and the baselines of ``run_baseline``.
+METHODS = ("rest", "tent", "pl", "none")
 
 # Ranking depth of every batch: the deepest recall cut-off any report reads.
 RANK_DEPTH = 10
@@ -67,16 +67,6 @@ class AdapterParams:
     @property
     def dim(self) -> int:
         return self.gamma.size
-
-
-@dataclass(frozen=True)
-class DecoupledGradient:
-    """Split of the task gradient against the general direction."""
-
-    g_parallel: np.ndarray
-    g_perp: np.ndarray
-    g_hat: np.ndarray
-    w_d: float
 
 
 @dataclass(frozen=True)
@@ -148,12 +138,13 @@ def kl_general(state: ForwardState, src_probs: np.ndarray) -> tuple[float, np.nd
     return val, (param_grad(state, dz) if val != 0.0 else np.zeros(2 * state.dim))
 
 
-def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
+def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> tuple[np.ndarray, float]:
     """Refine the task gradient so it never conflicts with the general direction.
 
-    The parallel component is kept only when it agrees with ``g_r``; the whole
-    update is damped by w_d = exp(-kl). With no general direction defined
-    (``g_r`` numerically zero) the damped task gradient passes through.
+    Returns (g_hat, w_d). The component of ``g_d`` parallel to ``g_r`` is kept
+    only when it agrees with ``g_r``; the whole update is damped by
+    w_d = exp(-kl). With no general direction defined (``g_r`` numerically
+    zero) the damped task gradient passes through.
     """
     g_d = np.asarray(g_d, dtype=np.float64)
     g_r = np.asarray(g_r, dtype=np.float64)
@@ -164,8 +155,7 @@ def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> DecoupledGradient:
     dot = float(np.dot(g_d, g_r))
     g_parallel = (dot / denom if denom >= 1e-24 else 0.0) * g_r
     g_perp = g_d - g_parallel
-    g_hat = w_d * (g_perp + g_parallel if dot >= 0 else g_perp)
-    return DecoupledGradient(g_parallel=g_parallel, g_perp=g_perp, g_hat=g_hat, w_d=w_d)
+    return w_d * (g_perp + g_parallel if dot >= 0 else g_perp), w_d
 
 
 def sgd_step(params: AdapterParams, grad: np.ndarray, lr: float) -> AdapterParams:
@@ -202,10 +192,6 @@ class AdaptationSession:
     parameters (and queue) exactly as they were before the call. The gallery
     centroids are built by the first batch that builds candidates, so a
     ``none`` run never runs k-means.
-
-    At the source point (parameters bit for bit the source ones, as on the first
-    batch) the source predictions are the current ones: one forward pass runs,
-    and the KL and the general direction of ``rest`` are exactly zero.
     """
 
     def __init__(self, gallery: Gallery, config: SessionConfig):
@@ -233,7 +219,7 @@ class AdaptationSession:
 
     def run_baseline(self, raw: np.ndarray, kind: str) -> BatchResult:
         """Tent- or pseudo-label-style step, or plain ranking with no update."""
-        if kind not in _BASELINES:
+        if kind == "rest" or kind not in METHODS:
             raise InvalidSpecError(f"unknown baseline {kind!r}")
         return self._run_batch(raw, kind)
 
@@ -252,14 +238,14 @@ class AdaptationSession:
             cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
             state = forward_state(params.gamma, params.beta, raw, cands, self.config.tau)
             if method == "rest":
-                grad, breakdown, queue = self._rest_gradient(state, cands, diagnostics)
+                grad, breakdown, queue = self._rest_gradient(state, diagnostics)
             else:
                 if method == "tent":
                     # Tent is the entropy term with no query filtered out.
                     val, dz = _rem_grad(state, np.ones(state.batch_size), state.batch_size)
                 else:
                     # Pseudo-labeling is the KL from the one-hot source argmax.
-                    labels = np.argmax(self._source_probs(state, cands), axis=1)
+                    labels = np.argmax(self._source_probs(state), axis=1)
                     target = np.zeros_like(state.probs)
                     target[np.arange(state.batch_size), labels] = 1.0
                     val, dz = _kl_grad(state, target)
@@ -276,20 +262,17 @@ class AdaptationSession:
         self.step += 1
         return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
 
-    def _source_probs(self, state: ForwardState, cands: CandidateBatch) -> np.ndarray:
-        """Source-parameter predictions on the current candidate supports (probs only)."""
-        src = self.source_params
-        if np.array_equal(state.gamma, src.gamma) and np.array_equal(state.beta, src.beta):
-            return state.probs
-        _, z_src = affine_normalize(src.gamma, src.beta, state.raw)
-        return softmax_temp(np.where(cands.mask, z_src @ cands.embs.T, -np.inf), self.config.tau)
+    def _source_probs(self, state: ForwardState) -> np.ndarray:
+        """Source-parameter predictions on the state's candidate supports (probs only).
 
-    def _rest_gradient(
-        self,
-        state: ForwardState,
-        cands: CandidateBatch,
-        diagnostics: BatchDiagnostics,
-    ):
+        At the source point they equal ``state.probs`` bit for bit, so the KL
+        and the general direction there are exactly zero.
+        """
+        src = self.source_params
+        _, z_src = affine_normalize(src.gamma, src.beta, state.raw)
+        return softmax_temp(np.where(state.mask, z_src @ state.pool.T, -np.inf), state.tau)
+
+    def _rest_gradient(self, state: ForwardState, diagnostics: BatchDiagnostics):
         """Robust-objective update direction, its loss terms and the next queue."""
         positives = state.positives
         scores = source_likeness(state.z, positives, state.z.mean(axis=0), positives.mean(axis=0))
@@ -297,14 +280,14 @@ class AdaptationSession:
         constraints = estimate_constraints(queue)
 
         breakdown, g_d = total_loss_and_grad(state, constraints)
-        kl, g_r = kl_general(state, self._source_probs(state, cands))
-        dec = decouple(g_d, g_r, kl)
+        kl, g_r = kl_general(state, self._source_probs(state))
+        g_hat, w_d = decouple(g_d, g_r, kl)
 
         diagnostics.objective = breakdown.l_total
         diagnostics.d_kl = kl
-        diagnostics.w_d = dec.w_d
+        diagnostics.w_d = w_d
         diagnostics.angle_deg = _angle_degrees(g_d, g_r)
         diagnostics.active_count = breakdown.active_count
         diagnostics.delta_s = constraints.gap_source
         diagnostics.e_b = constraints.entropy_threshold
-        return (dec.g_hat if self.config.decouple else g_d), breakdown, queue
+        return (g_hat if self.config.decouple else g_d), breakdown, queue

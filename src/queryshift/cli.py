@@ -13,7 +13,6 @@ as a diverging adapter), 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import math
@@ -24,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import RANK_DEPTH, AdaptationSession, AdapterParams, SessionConfig, forward_adapter
+from .adapt import (
+    METHODS,
+    RANK_DEPTH,
+    AdaptationSession,
+    AdapterParams,
+    SessionConfig,
+    forward_adapter,
+)
 from .errors import BadConfigError, BadInputError, QueryShiftError
 from .gallery import Gallery, knn_table
 from .losses import gradient_check
@@ -49,7 +55,6 @@ from .vectors import l2_normalize_rows
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
 
-_METHODS = ("rest", "tent", "pl", "none")
 _RECALL_KS = (1, 5, RANK_DEPTH)
 _JSON_TYPES = {"bool": bool, "int": int, "number": (int, float), "string": str, "array": list}
 # The JSON kind of each scalar config field annotation (annotations are strings).
@@ -268,8 +273,8 @@ def parse_config(obj) -> RunConfig:
     # diverse (per-query) corruption streams, off otherwise.
     cfg = _block(obj, RunConfig, "config", nested=("paths", "synth"), paths=paths, synth=synth,
                  corruptions=corruptions, decouple=len(corruptions) > 1)
-    if cfg.method not in _METHODS:
-        raise BadConfigError(f"config: method must be one of {_METHODS}, got {cfg.method!r}")
+    if cfg.method not in METHODS:
+        raise BadConfigError(f"config: method must be one of {METHODS}, got {cfg.method!r}")
     return cfg
 
 
@@ -412,17 +417,16 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
     Each batch's rankings on arrival are the online result. The first-hit
-    rank of each query's online ranking is taken once, with its batch's
-    metrics, and kept with the batch's embeddings: the report's recall
-    counts those ranks, and ``none``, which never steps, reads its
-    ``initial`` from them. The relevant-row sums are built once, after the
-    stream; each batch's consistency reads its rows of them, and so does
-    every whole-stream consistency.
+    rank of each query's online ranking is taken once and kept with the
+    batch's embeddings: the report's recall counts those ranks, and ``none``,
+    which never steps, reads its ``initial`` and ``final`` recalls from them.
+    The relevant-row sums are built once, after the stream; then every
+    metrics row, each batch's and the whole stream's, is one
+    ``_stream_metrics`` call.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
-        series: dict = {}
-        zs, hits = [], []
+        rows, zs, hits = [], [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
             if cfg.method == "rest":
@@ -436,31 +440,27 @@ def cmd_adapt(cfg: RunConfig) -> dict:
             bd = result.breakdown
             for term in ("l_u", "l_g", "l_rem", "l_rhm"):
                 row[term] = None if bd is None else getattr(bd, term)
-            row["uniformity"] = metric_uniformity(result.z)
-            row["gap"] = metric_gap(result.z, gallery.center)
-            row["recall_1"] = recall_of_hits(hits[-1], 1)
-            for key, value in row.items():
-                series.setdefault(key, []).append(value)
+            rows.append(row)
 
         # Built after the stream: a whole-truth array allocated before it moves
         # the heap under the batch calls, whose minor page faults then rose ~5x
         # on a 4,096-query stream.
-        sums, hits = relevant_sums(gallery.items, truth), np.concatenate(hits)
-        cuts = range(0, stream.shape[0], cfg.batch)
-        series["consistency"] = [
-            metric_consistency(z, truth[a : a + cfg.batch], sums[a : a + cfg.batch])
-            for a, z in zip(cuts, zs)
-        ]
-        z0 = forward_adapter(session.source_params, stream)
-        if cfg.method == "none":
-            initial = _stream_metrics(z0, sums, gallery, truth, hits)
-            final = copy.deepcopy(initial)
-        else:
-            initial = _stream_metrics(z0, sums, gallery, truth)
-            final = _stream_metrics(forward_adapter(session.params, stream), sums, gallery, truth)
-            if cfg.method == "rest":
-                final["delta_s"] = series["delta_s"][-1]
-                final["e_b"] = series["e_b"][-1]
+        sums = relevant_sums(gallery.items, truth)
+        series: dict = {}
+        for a, row, z, h in zip(range(0, stream.shape[0], cfg.batch), rows, zs, hits):
+            cut = slice(a, a + cfg.batch)
+            row.update(_stream_metrics(z, sums[cut], gallery, truth[cut], h))
+            row["recall_1"] = row.pop("recall")["1"]
+            for key, value in row.items():
+                series.setdefault(key, []).append(value)
+        hits = np.concatenate(hits)
+        kept = hits if cfg.method == "none" else None
+        initial, final = (
+            _stream_metrics(forward_adapter(params, stream), sums, gallery, truth, kept)
+            for params in (session.source_params, session.params)
+        )
+        if cfg.method == "rest":
+            final.update(delta_s=series["delta_s"][-1], e_b=series["e_b"][-1])
         return {"recall": _recall(hits), "initial": initial, "final": final, "series": series}
 
     return _report(cfg, body)

@@ -75,12 +75,17 @@ def test_criterion_2_refined_gradient_never_conflicts():
         g_d = rng.standard_normal(dim) * float(rng.uniform(0.1, 5.0))
         g_r = rng.standard_normal(dim) * float(rng.uniform(0.1, 5.0))
         kl = float(rng.uniform(0.0, 4.0))
-        out = decouple(g_d, g_r, kl)
-        dot = float(out.g_hat @ g_r)
+        g_hat, w_d = decouple(g_d, g_r, kl)
+        dot = float(g_hat @ g_r)
         worst_dot = min(worst_dot, dot)
         assert dot >= -1e-9
-        assert abs(float(out.g_perp @ g_r)) <= 1e-6 * np.linalg.norm(g_d) * np.linalg.norm(g_r)
-        assert np.abs(out.g_parallel + out.g_perp - g_d).max() <= 1e-9
+        assert math.isclose(w_d, math.exp(-kl), rel_tol=1e-12)
+        if float(g_d @ g_r) >= 0:
+            assert np.abs(g_hat - w_d * g_d).max() <= 1e-9
+        else:
+            assert abs(dot) <= 1e-6 * np.linalg.norm(g_d) * np.linalg.norm(g_r)
+            g_perp = g_d - (float(g_d @ g_r) / float(g_r @ g_r)) * g_r
+            assert np.abs(g_hat - w_d * g_perp).max() <= 1e-9
     _report(2, f"10^4 decouple calls, worst g_hat.g_r = {worst_dot:.2e} >= -1e-9")
 
 

@@ -130,31 +130,30 @@ class TestKlGeneral:
 
 class TestDecouple:
     def test_agreeing_gradient_passes_through(self):
-        out = decouple(np.array([3.0, 4.0]), np.array([1.0, 0.0]), kl=0.0)
-        np.testing.assert_allclose(out.g_parallel, [3.0, 0.0])
-        np.testing.assert_allclose(out.g_perp, [0.0, 4.0])
-        np.testing.assert_allclose(out.g_hat, [3.0, 4.0])
-        assert out.w_d == 1.0
+        g_hat, w_d = decouple(np.array([3.0, 4.0]), np.array([1.0, 0.0]), kl=0.0)
+        np.testing.assert_allclose(g_hat, [3.0, 4.0])
+        assert w_d == 1.0
 
     def test_conflicting_component_removed(self):
-        out = decouple(np.array([-3.0, 4.0]), np.array([1.0, 0.0]), kl=0.0)
-        np.testing.assert_allclose(out.g_hat, [0.0, 4.0], atol=1e-12)
+        g_hat, w_d = decouple(np.array([-3.0, 4.0]), np.array([1.0, 0.0]), kl=0.0)
+        np.testing.assert_allclose(g_hat, [0.0, 4.0], atol=1e-12)
+        assert w_d == 1.0
 
     def test_fully_conflicting_suppressed(self):
         g_r = np.array([0.5, -0.25, 1.0])
-        out = decouple(-g_r, g_r, kl=0.0)
-        np.testing.assert_allclose(out.g_perp, 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.g_hat, 0.0, atol=1e-12)
+        g_hat, _ = decouple(-g_r, g_r, kl=0.0)
+        np.testing.assert_allclose(g_hat, 0.0, atol=1e-12)
 
     def test_zero_general_direction_guard(self):
         g_d = np.array([1.0, 2.0])
-        out = decouple(g_d, np.zeros(2), kl=0.3)
-        np.testing.assert_allclose(out.g_hat, math.exp(-0.3) * g_d)
+        g_hat, w_d = decouple(g_d, np.zeros(2), kl=0.3)
+        assert w_d == pytest.approx(math.exp(-0.3))
+        np.testing.assert_allclose(g_hat, math.exp(-0.3) * g_d)
 
     def test_damping_weight(self):
-        out = decouple(np.ones(3), np.ones(3), kl=2.0)
-        assert out.w_d == pytest.approx(math.exp(-2.0))
-        np.testing.assert_allclose(out.g_hat, math.exp(-2.0) * np.ones(3))
+        g_hat, w_d = decouple(np.ones(3), np.ones(3), kl=2.0)
+        assert w_d == pytest.approx(math.exp(-2.0))
+        np.testing.assert_allclose(g_hat, math.exp(-2.0) * np.ones(3))
 
     def test_never_conflicts_bulk(self):
         rng = np.random.default_rng(5)
@@ -163,11 +162,17 @@ class TestDecouple:
             g_d = rng.standard_normal(dim)
             g_r = rng.standard_normal(dim)
             kl = float(rng.uniform(0, 3))
-            out = decouple(g_d, g_r, kl)
-            assert float(out.g_hat @ g_r) >= -1e-9
-            assert abs(float(out.g_perp @ g_r)) <= 1e-6 * np.linalg.norm(g_d) * np.linalg.norm(g_r)
-            np.testing.assert_allclose(out.g_parallel + out.g_perp, g_d, atol=1e-9)
-            assert 0.0 < out.w_d <= 1.0
+            g_hat, w_d = decouple(g_d, g_r, kl)
+            assert float(g_hat @ g_r) >= -1e-9
+            assert 0.0 < w_d <= 1.0
+            dot = float(g_d @ g_r)
+            if dot >= 0:
+                np.testing.assert_allclose(g_hat, w_d * g_d, atol=1e-9)
+            else:
+                tol = 1e-6 * np.linalg.norm(g_d) * np.linalg.norm(g_r)
+                assert abs(float(g_hat @ g_r)) <= tol
+                g_perp = g_d - (dot / float(g_r @ g_r)) * g_r
+                np.testing.assert_allclose(g_hat, w_d * g_perp, atol=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(DimMismatchError):
@@ -286,15 +291,16 @@ class TestBatchedSessionPath:
         k = 4
         small = primitive_calls(monkeypatch, 8, k)
         large = primitive_calls(monkeypatch, 64, k)
-        # The softmax runs once per forward pass, never once per query.
-        assert small["softmax_temp"] == small["forward_state"]
+        # The softmax runs once per prediction pass, the current one and the
+        # source one, never once per query.
+        assert small["softmax_temp"] == small["forward_state"] + 1 == 2
         assert small == large
         assert set(small) == {n for names in PER_ROW_PRIMITIVES.values() for n in names}
 
     @pytest.mark.parametrize("method", ["rest", "pl"])
-    def test_first_batch_makes_one_forward_pass(self, monkeypatch, method):
-        # At the source point the source predictions are the current ones;
-        # every prediction pass, the source one included, is one softmax.
+    def test_every_batch_makes_two_softmax_passes(self, monkeypatch, method):
+        # One softmax for the current predictions and one for the source
+        # ones, on the first batch too, where the two are equal.
         gal, stream, _ = small_benchmark(seed=14, stream=32)
         session = AdaptationSession(gal, SessionConfig(k=4, batch=16, decouple=True))
         counts = counted_calls(monkeypatch, {vectors: ("softmax_temp",)})
@@ -303,9 +309,9 @@ class TestBatchedSessionPath:
             return session.adapt_batch(raw) if method == "rest" else session.run_baseline(raw, "pl")
 
         run(stream[:16])
-        assert counts["softmax_temp"] == 1
+        assert counts["softmax_temp"] == 2
         run(stream[16:])
-        assert counts["softmax_temp"] == 3
+        assert counts["softmax_temp"] == 4
 
     def test_post_source_rest_batch_logs_and_predicts_twice(self, monkeypatch):
         # One log for the current pass and one for the source predictions of

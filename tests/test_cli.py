@@ -595,16 +595,17 @@ class TestCmdAdapt:
         def refuse(*args, **kwargs):
             raise AssertionError("build_centroids must not run")
 
-        calls = []
+        rank, calls = cli.knn_table, []
 
         def counted(*args):
             calls.append(1)
-            return _stream_metrics(*args)
+            return rank(*args)
 
         monkeypatch.setattr(adapt, "build_centroids", refuse)
-        monkeypatch.setattr(cli, "_stream_metrics", counted)
+        monkeypatch.setattr(cli, "knn_table", counted)
         report = cmd_adapt(parse_config(config_dict(method="none")))
-        assert len(calls) == 1
+        # initial and final both read the batches' kept ranks.
+        assert calls == []
         assert report["final"] == report["initial"]
         assert report["final"] is not report["initial"]
         assert report["final"]["recall"] is not report["initial"]["recall"]

@@ -631,8 +631,10 @@ class TestForwardStateCache:
             session = AdaptationSession(gallery, SessionConfig(tau=tau, k=1))
             assert not np.array_equal(state.gamma, session.source_params.gamma)
             src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, tau)
-            got = session._source_probs(state, cands)
-            assert got.tobytes() == src.probs.tobytes()
+            assert session._source_probs(state).tobytes() == src.probs.tobytes()
+            # At the source point the source pass is the current one, bit for
+            # bit, so the KL of the first batch is exactly zero.
+            assert session._source_probs(src).tobytes() == src.probs.tobytes()
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_softmax_leaves_its_input_unmodified(self, tau):
