@@ -16,9 +16,11 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import struct
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -121,14 +123,16 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
     # A file whose every line is digits<TAB>digits<LF>, as write_ground_truth
     # writes it, is parsed in one pass, and so is any other once its CRLF ends
-    # are made LF or, failing that, once reduced to its non-blank lines. Such
-    # a file holds only ASCII digits, tabs, line ends and blank lines of ASCII
-    # whitespace, so the line loop would read the same pairs from it. Every
-    # other file, such as one with a padded or signed field, and every file
-    # with a bad line go through the line loop, which names the line at fault.
-    pairs = _tab_pairs(data)
+    # are LF and its empty lines dropped or, failing that, once its blank lines
+    # of ASCII whitespace are: the line loop would read the same pairs from it.
+    # Every other file, and every file with a bad line, go through the line
+    # loop on the bytes as read, which names the line at fault.
+    pairs, lf = _tab_pairs(data), data
     if pairs is None and b"\r\n" in data:
-        pairs = _tab_pairs(data.replace(b"\r\n", b"\n"))
+        lf = data.replace(b"\r\n", b"\n")
+        pairs = _tab_pairs(lf)
+    if pairs is None:
+        pairs = _tab_pairs(re.sub(rb"\n\n+", b"\n", lf).lstrip(b"\n"))
     if pairs is None:
         pairs = _tab_pairs(b"\n".join(filter(bytes.strip, data.splitlines())) + b"\n")
     if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
@@ -416,44 +420,40 @@ def cmd_synth(cfg: RunConfig, out_dir) -> dict:
 def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
-    Each batch's rankings on arrival are the online result. The first-hit
-    rank of each query's online ranking is taken once and kept with the
-    batch's embeddings: the report's recall counts those ranks, and ``none``,
-    which never steps, reads its ``initial`` and ``final`` recalls from them.
-    The relevant-row sums are built once, after the stream; then every
-    metrics row, each batch's and the whole stream's, is one
-    ``_stream_metrics`` call.
+    The loop only runs the session and keeps what each batch returns; each
+    batch's rankings on arrival are the online result. After the stream the
+    relevant-row sums are built, one first-hit pass ranks every query's online
+    ranking (the report's recall, and ``none``'s ``initial`` and ``final``,
+    which it never leaves), and every metrics row, each batch's and the whole
+    stream's, is one ``_stream_metrics`` call.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
-        rows, zs, hits = [], [], []
+        # Until the stream ends only the session runs. Arrays built or kept in
+        # the C heap meanwhile (whole-truth sums, numpy copies of the rankings)
+        # raised the batch calls' minor page faults on 4,096 queries, so the
+        # rankings are kept as Python ints, which live in the interpreter's arenas.
+        batches, ranked = [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
             if cfg.method == "rest":
                 result = session.adapt_batch(raw)
             else:
                 result = session.run_baseline(raw, cfg.method)
+            batches.append((result.z, result.diagnostics, result.breakdown))
+            ranked.append(result.rankings.tolist())
 
-            zs.append(result.z)
-            hits.append(first_hits(result.rankings, truth[start : start + cfg.batch]))
-            row = dataclasses.asdict(result.diagnostics)
-            bd = result.breakdown
-            for term in ("l_u", "l_g", "l_rem", "l_rhm"):
-                row[term] = None if bd is None else getattr(bd, term)
-            rows.append(row)
-
-        # Built after the stream: a whole-truth array allocated before it moves
-        # the heap under the batch calls, whose minor page faults then rose ~5x
-        # on a 4,096-query stream.
         sums = relevant_sums(gallery.items, truth)
+        ranks = np.fromiter(chain.from_iterable(chain.from_iterable(ranked)), np.int64)
+        hits = first_hits(ranks.reshape(stream.shape[0], -1), truth)
         series: dict = {}
-        for a, row, z, h in zip(range(0, stream.shape[0], cfg.batch), rows, zs, hits):
+        for a, (z, diag, bd) in zip(range(0, stream.shape[0], cfg.batch), batches):
             cut = slice(a, a + cfg.batch)
-            row.update(_stream_metrics(z, sums[cut], gallery, truth[cut], h))
+            row = vars(diag) | {t: getattr(bd, t, None) for t in ("l_u", "l_g", "l_rem", "l_rhm")}
+            row.update(_stream_metrics(z, sums[cut], gallery, truth[cut], hits[cut]))
             row["recall_1"] = row.pop("recall")["1"]
             for key, value in row.items():
                 series.setdefault(key, []).append(value)
-        hits = np.concatenate(hits)
         kept = hits if cfg.method == "none" else None
         initial, final = (
             _stream_metrics(forward_adapter(params, stream), sums, gallery, truth, kept)

@@ -250,6 +250,45 @@ class TestGroundTruthFile:
             assert truth.indptr.tolist() == [0, 1, 3] and truth.indices.tolist() == [1, 0, 2]
             assert len(seen) == stages and seen[1] == data.replace(b"\r\n", b"\n")
 
+    def test_empty_lines_dropped_before_splitting_lines(self, tmp_path, monkeypatch):
+        # Runs of empty lines, leading, mid-file or trailing, are dropped in
+        # one pass; the next parse of the file succeeds, so it is never split
+        # into lines and filtered. The CRLF file takes one more stage, its LF
+        # form.
+        truth = GroundTruth.from_sets((frozenset({1, 3}), frozenset({0, 2}), frozenset({3})))
+        path = tmp_path / "gt.tsv"
+        write_ground_truth(path, truth)
+        lf = path.read_bytes()
+        seen = []
+
+        def tab_pairs(data):
+            seen.append(data)
+            return tab_pairs_of(data)
+
+        def line_filter(*args):
+            raise AssertionError("split into lines")
+
+        tab_pairs_of = cli._tab_pairs
+        monkeypatch.setattr(cli, "_tab_pairs", tab_pairs)
+        monkeypatch.setattr(cli, "filter", line_filter, raising=False)
+        mid = lf.replace(b"\n", b"\n\n\n", 2)
+        crlf = (b"\n" + mid + b"\n").replace(b"\n", b"\r\n")
+        for data, stages in ((lf + b"\n", 2), (b"\n\n" + lf, 2), (mid, 2), (crlf, 3)):
+            seen.clear()
+            path.write_bytes(data)
+            back = read_ground_truth(path, 3, 4)
+            assert np.array_equal(back.indptr, truth.indptr)
+            assert np.array_equal(back.indices, truth.indices)
+            assert len(seen) == stages and seen[-1] == lf
+
+    def test_bad_line_after_empty_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        for end in ("\n", "\r\n"):
+            path.write_text(end.join(["", "0\t1", "", "", "1\t9", "1\t2"]) + end, encoding="utf-8")
+            with pytest.raises(BadInputError) as got:
+                read_ground_truth(path, 2, 4)
+            assert str(got.value) == f"{path}:5: gallery index 9 out of range"
+
     def test_duplicates_collapse_and_rows_sort(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_bytes(b"1\t3\r\n0\t2\r\n1\t0\r\n\r\n1\t3\r\n  \r\n0\t2")
@@ -634,10 +673,11 @@ class TestCmdAdapt:
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
     def test_each_relevance_pair_gathered_once(self, monkeypatch, method):
-        # 384 queries in batches of 16: each batch counts its rankings' hits
-        # once, and after the last batch one relevant_sums call sums the
-        # relevant gallery rows of the whole truth. A method that steps adds
-        # one hit pass per whole-stream ranking.
+        # 384 queries in batches of 16. Nothing is gathered during the stream.
+        # After the last batch one relevant_sums call sums the relevant
+        # gallery rows of the whole truth, and one hit pass counts the online
+        # rankings of every batch. A method that steps adds one hit pass per
+        # whole-stream ranking.
         calls = []
 
         def sums(z_g, truth):
@@ -657,8 +697,49 @@ class TestCmdAdapt:
         _, _, _, truth = cli._synthesize(parsed)
         cmd_adapt(parsed)
         whole = [] if method == "none" else [("hits", 384)] * 2
-        assert calls[:24] == [("hits", 16)] * 24
-        assert calls[24:] == [("sums", 384, truth.indices.size)] + whole
+        assert calls == [("sums", 384, truth.indices.size), ("hits", 384)] + whole
+
+    @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
+    def test_stream_loop_makes_only_session_calls(self, monkeypatch, method):
+        # 100 queries in batches of 16, the last one short. Every report call
+        # comes after the last batch returns, and each batch's recall reads
+        # the ranks its own rankings got on arrival.
+        calls, online = [], []
+
+        def session_call(fn):
+            def call(*args, **kwargs):
+                calls.append("batch")
+                result = fn(*args, **kwargs)
+                online.append(result.rankings.copy())
+                calls.append("returned")
+                return result
+            return call
+
+        def report_call(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        session = adapt.AdaptationSession
+        for name in ("adapt_batch", "run_baseline"):
+            monkeypatch.setattr(session, name, session_call(getattr(session, name)))
+        for name in ("first_hits", "relevant_sums", "_stream_metrics"):
+            monkeypatch.setattr(cli, name, report_call(name, getattr(cli, name)))
+        cfg = config_dict(method=method, batch=16)
+        cfg["synth"].update(stream_length=100)
+        parsed = parse_config(cfg)
+        _, _, _, truth = cli._synthesize(parsed)
+        report = cmd_adapt(parsed)
+
+        last = len(calls) - calls[::-1].index("returned")
+        assert calls[:last] == ["batch", "returned"] * 7
+        assert {"first_hits", "relevant_sums", "_stream_metrics"} <= set(calls[last:])
+        hits = [first_hits(r, truth[a : a + 16]) for a, r in zip(range(0, 100, 16), online)]
+        want = [synth.recall_of_hits(h, 1) for h in hits]
+        assert report["series"]["recall_1"] == want
+        whole = np.concatenate(hits)
+        assert report["recall"] == {str(k): synth.recall_of_hits(whole, k) for k in (1, 5, 10)}
 
     def test_metrics_identity_equals_none_initial(self):
         cfg = parse_config(config_dict(method="none", batch=16))
