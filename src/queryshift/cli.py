@@ -127,12 +127,9 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     # of ASCII whitespace are: the line loop would read the same pairs from it.
     # Every other file, and every file with a bad line, go through the line
     # loop on the bytes as read, which names the line at fault.
-    pairs, lf = _tab_pairs(data), data
-    if pairs is None and b"\r\n" in data:
-        lf = data.replace(b"\r\n", b"\n")
-        pairs = _tab_pairs(lf)
+    pairs = _tab_pairs(data)
     if pairs is None:
-        pairs = _tab_pairs(re.sub(rb"\n\n+", b"\n", lf).lstrip(b"\n"))
+        pairs = _tab_pairs(re.sub(rb"\n\n+", b"\n", data.replace(b"\r\n", b"\n")).lstrip(b"\n"))
     if pairs is None:
         pairs = _tab_pairs(b"\n".join(filter(bytes.strip, data.splitlines())) + b"\n")
     if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
@@ -429,10 +426,12 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
-        # Until the stream ends only the session runs. Arrays built or kept in
-        # the C heap meanwhile (whole-truth sums, numpy copies of the rankings)
-        # raised the batch calls' minor page faults on 4,096 queries, so the
-        # rankings are kept as Python ints, which live in the interpreter's arenas.
+        # Until the stream ends only the session runs. Each z is kept as
+        # returned, as before; whole-truth sums, numpy copies of the rankings or
+        # one flat list of their rows built meanwhile raised the batch calls'
+        # minor page faults on 4,096 queries. So the rankings are kept per batch
+        # as Python ints, in the interpreter's arenas: ~300-450 B a query
+        # against 80 B as int64, growing with the stream's length.
         batches, ranked = [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
@@ -449,7 +448,8 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         series: dict = {}
         for a, (z, diag, bd) in zip(range(0, stream.shape[0], cfg.batch), batches):
             cut = slice(a, a + cfg.batch)
-            row = vars(diag) | {t: getattr(bd, t, None) for t in ("l_u", "l_g", "l_rem", "l_rhm")}
+            row = vars(diag) | {t: None if bd is None else getattr(bd, t)
+                                for t in ("l_u", "l_g", "l_rem", "l_rhm")}
             row.update(_stream_metrics(z, sums[cut], gallery, truth[cut], hits[cut]))
             row["recall_1"] = row.pop("recall")["1"]
             for key, value in row.items():
