@@ -20,7 +20,6 @@ from .errors import DimMismatchError, DivergenceError, InvalidKError, InvalidSpe
 from .gallery import CentroidSet, Gallery, build_centroids, knn_table
 from .losses import (
     ForwardState,
-    LossBreakdown,
     _kl_grad,
     _rem_grad,
     affine_normalize,
@@ -98,6 +97,10 @@ class BatchDiagnostics:
 
     step: int
     objective: float | None = None
+    l_u: float | None = None
+    l_g: float | None = None
+    l_rem: float | None = None
+    l_rhm: float | None = None
     d_kl: float | None = None
     w_d: float | None = None
     angle_deg: float | None = None
@@ -115,7 +118,6 @@ class BatchResult:
     """
 
     rankings: np.ndarray
-    breakdown: LossBreakdown | None
     diagnostics: BatchDiagnostics
     z: np.ndarray
 
@@ -153,9 +155,9 @@ def decouple(g_d: np.ndarray, g_r: np.ndarray, kl: float) -> tuple[np.ndarray, f
     w_d = float(np.exp(-max(kl, 0.0)))
     denom = float(np.dot(g_r, g_r))
     dot = float(np.dot(g_d, g_r))
-    g_parallel = (dot / denom if denom >= 1e-24 else 0.0) * g_r
-    g_perp = g_d - g_parallel
-    return w_d * (g_perp + g_parallel if dot >= 0 else g_perp), w_d
+    if dot < 0 and denom >= 1e-24:
+        g_d = g_d - (dot / denom) * g_r
+    return w_d * g_d, w_d
 
 
 def sgd_step(params: AdapterParams, grad: np.ndarray, lr: float) -> AdapterParams:
@@ -232,13 +234,13 @@ class AdaptationSession:
         """
         raw = np.asarray(raw, dtype=np.float64)
         diagnostics = BatchDiagnostics(step=self.step)
-        params, queue, breakdown = self.params, self.queue, None
+        params, queue = self.params, self.queue
         if method != "none":
             z = forward_adapter(params, raw)
             cands = build_candidate_sets(z, self.gallery, self.centroids, self.config.k)
             state = forward_state(params.gamma, params.beta, raw, cands, self.config.tau)
             if method == "rest":
-                grad, breakdown, queue = self._rest_gradient(state, diagnostics)
+                grad, queue = self._rest_gradient(state, diagnostics)
             else:
                 if method == "tent":
                     # Tent is the entropy term with no query filtered out.
@@ -260,7 +262,7 @@ class AdaptationSession:
         self.params = params
         self.queue = queue
         self.step += 1
-        return BatchResult(rankings=rankings, breakdown=breakdown, diagnostics=diagnostics, z=z)
+        return BatchResult(rankings=rankings, diagnostics=diagnostics, z=z)
 
     def _source_probs(self, state: ForwardState) -> np.ndarray:
         """Source-parameter predictions on the state's candidate supports (probs only).
@@ -273,7 +275,8 @@ class AdaptationSession:
         return softmax_temp(np.where(state.mask, z_src @ state.pool.T, -np.inf), state.tau)
 
     def _rest_gradient(self, state: ForwardState, diagnostics: BatchDiagnostics):
-        """Robust-objective update direction, its loss terms and the next queue."""
+        """Robust-objective update direction and the next queue; the loss terms
+        and estimates go into ``diagnostics``."""
         positives = state.positives
         scores = source_likeness(state.z, positives, state.z.mean(axis=0), positives.mean(axis=0))
         queue = update_queue(self.queue, state.z, positives, scores, state.entropies)
@@ -284,10 +287,12 @@ class AdaptationSession:
         g_hat, w_d = decouple(g_d, g_r, kl)
 
         diagnostics.objective = breakdown.l_total
+        diagnostics.l_u, diagnostics.l_g = breakdown.l_u, breakdown.l_g
+        diagnostics.l_rem, diagnostics.l_rhm = breakdown.l_rem, breakdown.l_rhm
         diagnostics.d_kl = kl
         diagnostics.w_d = w_d
         diagnostics.angle_deg = _angle_degrees(g_d, g_r)
         diagnostics.active_count = breakdown.active_count
         diagnostics.delta_s = constraints.gap_source
         diagnostics.e_b = constraints.entropy_threshold
-        return (g_hat if self.config.decouple else g_d), breakdown, queue
+        return (g_hat if self.config.decouple else g_d), queue

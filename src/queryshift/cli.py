@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import re
 import struct
 import sys
 import time
@@ -122,16 +121,9 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     except OSError as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
     # A file whose every line is digits<TAB>digits<LF>, as write_ground_truth
-    # writes it, is parsed in one pass, and so is any other once its CRLF ends
-    # are LF and its empty lines dropped or, failing that, once its blank lines
-    # of ASCII whitespace are: the line loop would read the same pairs from it.
-    # Every other file, and every file with a bad line, go through the line
-    # loop on the bytes as read, which names the line at fault.
+    # writes it, is parsed in one pass. Every other file, and every file with
+    # a bad line, goes through the line loop, which names the line at fault.
     pairs = _tab_pairs(data)
-    if pairs is None:
-        pairs = _tab_pairs(re.sub(rb"\n\n+", b"\n", data.replace(b"\r\n", b"\n")).lstrip(b"\n"))
-    if pairs is None:
-        pairs = _tab_pairs(b"\n".join(filter(bytes.strip, data.splitlines())) + b"\n")
     if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
         try:
             text = data.decode("utf-8")
@@ -426,12 +418,12 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
-        # Until the stream ends only the session runs. Each z is kept as
-        # returned, as before; whole-truth sums, numpy copies of the rankings or
-        # one flat list of their rows built meanwhile raised the batch calls'
-        # minor page faults on 4,096 queries. So the rankings are kept per batch
-        # as Python ints, in the interpreter's arenas: ~300-450 B a query
-        # against 80 B as int64, growing with the stream's length.
+        # Until the stream ends only the session runs. Each z and diagnostics
+        # record is kept as returned; whole-truth sums, numpy copies of the
+        # rankings or one flat list of their rows built meanwhile raised the
+        # batch calls' minor page faults on 4,096 queries. So the rankings are
+        # kept per batch as Python ints, in the interpreter's arenas: ~300-450 B
+        # a query against 80 B as int64, growing with the stream's length.
         batches, ranked = [], []
         for start in range(0, stream.shape[0], cfg.batch):
             raw = stream[start : start + cfg.batch]
@@ -439,18 +431,16 @@ def cmd_adapt(cfg: RunConfig) -> dict:
                 result = session.adapt_batch(raw)
             else:
                 result = session.run_baseline(raw, cfg.method)
-            batches.append((result.z, result.diagnostics, result.breakdown))
+            batches.append((result.z, result.diagnostics))
             ranked.append(result.rankings.tolist())
 
         sums = relevant_sums(gallery.items, truth)
         ranks = np.fromiter(chain.from_iterable(chain.from_iterable(ranked)), np.int64)
         hits = first_hits(ranks.reshape(stream.shape[0], -1), truth)
         series: dict = {}
-        for a, (z, diag, bd) in zip(range(0, stream.shape[0], cfg.batch), batches):
+        for a, (z, diag) in zip(range(0, stream.shape[0], cfg.batch), batches):
             cut = slice(a, a + cfg.batch)
-            row = vars(diag) | {t: None if bd is None else getattr(bd, t)
-                                for t in ("l_u", "l_g", "l_rem", "l_rhm")}
-            row.update(_stream_metrics(z, sums[cut], gallery, truth[cut], hits[cut]))
+            row = vars(diag) | _stream_metrics(z, sums[cut], gallery, truth[cut], hits[cut])
             row["recall_1"] = row.pop("recall")["1"]
             for key, value in row.items():
                 series.setdefault(key, []).append(value)

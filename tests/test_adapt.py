@@ -167,7 +167,8 @@ class TestDecouple:
             assert 0.0 < w_d <= 1.0
             dot = float(g_d @ g_r)
             if dot >= 0:
-                np.testing.assert_allclose(g_hat, w_d * g_d, atol=1e-9)
+                # An agreeing gradient passes through exactly, only damped.
+                assert np.array_equal(g_hat, w_d * g_d)
             else:
                 tol = 1e-6 * np.linalg.norm(g_d) * np.linalg.norm(g_r)
                 assert abs(float(g_hat @ g_r)) <= tol
@@ -339,10 +340,7 @@ class TestAdaptBatch:
         assert d.w_d == 1.0
         assert d.angle_deg is None
         assert d.step == 0
-        assert res.breakdown.l_total == pytest.approx(
-            res.breakdown.l_u + res.breakdown.l_g + res.breakdown.l_rem + res.breakdown.l_rhm,
-            abs=1e-9,
-        )
+        assert d.objective == pytest.approx(d.l_u + d.l_g + d.l_rem + d.l_rhm, abs=1e-9)
 
     def test_initial_ranking_equals_source_oracle(self):
         session, stream, _ = self.make_session()
@@ -465,7 +463,8 @@ class TestRunBaseline:
         gallery, stream, _ = small_benchmark(seed=11)
         session = AdaptationSession(gallery, SessionConfig(tau=0.05, k=4, batch=16))
         res = session.run_baseline(stream[:16], "pl")
-        assert res.breakdown is None
+        d = res.diagnostics
+        assert d.l_u is None and d.l_g is None and d.l_rem is None and d.l_rhm is None
         assert res.diagnostics.objective is not None
         assert np.isfinite(res.diagnostics.objective)
 

@@ -46,7 +46,7 @@ def test_per_layer_names_have_hooks():
 HOOKED_SESSION = """
 import importlib, json, sys
 sys.path.insert(0, sys.argv[1])
-import child, tracer
+import child, tracer, workloads
 from queryshift.adapt import AdaptationSession, SessionConfig
 from queryshift.synth import SyntheticSpec, generate_benchmark
 
@@ -63,7 +63,14 @@ session = AdaptationSession(gallery, SessionConfig(k=4, batch=8))
 session.adapt_batch(stream[:8])
 session.run_baseline(stream[8:16], "tent")
 session.run_baseline(stream[16:], "none")
+# prepare() reads each query's class off GroundTruth.relevant when it builds
+# its inputs fresh; cached inputs skip that read.
+_, _, truth = generate_benchmark(SyntheticSpec(
+    classes=workloads.CLASSES, dim=8, gallery_size=256, stream_length=200, seed=2))
+classes = workloads._query_classes(truth)
 print(json.dumps({
+    "query_classes": classes.tolist(),
+    "first_relevant_classes": (truth.indices[truth.indptr[:-1]] % workloads.CLASSES).tolist(),
     "observer_errors": spans.observer_errors,
     "counters": sorted(spans.counters),
     "batches": len(capture.batch_times),
@@ -85,7 +92,9 @@ COUNTERS = [
 
 
 def test_benchmark_hooks_read_a_session():
-    """The benchmark's observers and session hooks still read what a session returns.
+    """The benchmark's observers and session hooks still read what a session
+    returns, and its input preparation still reads each query's class off a
+    ground truth.
 
     A field they read that the program deleted would otherwise show only in a
     traced benchmark run, as an observer error or a hook error.
@@ -103,3 +112,5 @@ def test_benchmark_hooks_read_a_session():
     assert out["observer_errors"] == []
     assert out["counters"] == COUNTERS
     assert out["batches"] == out["gamma"] == out["beta"] == 3
+    assert len(out["query_classes"]) == 200
+    assert out["query_classes"] == out["first_relevant_classes"]

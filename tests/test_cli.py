@@ -212,74 +212,18 @@ class TestGroundTruthFile:
         )
         path = tmp_path / "gt.tsv"
         write_ground_truth(path, truth)
-        lf = path.read_bytes()
 
         def line_loop(*args):
             raise AssertionError("read line by line")
 
         monkeypatch.setattr(cli, "_pairs_by_line", line_loop)
-        # As written; CRLF; blank lines; no final line feed.
-        copies = (lf, lf.replace(b"\n", b"\r\n"), b"\n \n" + lf.replace(b"\n", b"\n\t\n"), lf[:-1])
-        for data in copies:
-            path.write_bytes(data)
-            back = read_ground_truth(path, 20, 50)
-            assert np.array_equal(back.indptr, truth.indptr)
-            assert np.array_equal(back.indices, truth.indices)
+        back = read_ground_truth(path, 20, 50)
+        assert np.array_equal(back.indptr, truth.indptr)
+        assert np.array_equal(back.indices, truth.indices)
         monkeypatch.undo()
         path.write_bytes(b"0\t1\n1\t2\x00\n1\t3\n")
         with pytest.raises(BadInputError, match=r"gt\.tsv:2: non-integer index"):
             read_ground_truth(path, 2, 4)
-
-    def test_crlf_file_parses_without_splitting_lines(self, tmp_path, monkeypatch):
-        # A CRLF file is parsed once its line ends are LF; only a file that
-        # still fails then, here one with a whitespace-only line, is split
-        # into lines.
-        path = tmp_path / "gt.tsv"
-        seen = []
-
-        def tab_pairs(data):
-            seen.append(data)
-            return tab_pairs_of(data)
-
-        tab_pairs_of = cli._tab_pairs
-        monkeypatch.setattr(cli, "_tab_pairs", tab_pairs)
-        lf = b"0\t1\n1\t2\n1\t0\n"
-        for data, stages in ((lf.replace(b"\n", b"\r\n"), 2), (b" \r\n" + lf, 3)):
-            seen.clear()
-            path.write_bytes(data)
-            truth = read_ground_truth(path, 2, 3)
-            assert truth.indptr.tolist() == [0, 1, 3] and truth.indices.tolist() == [1, 0, 2]
-            assert len(seen) == stages and seen[1] == data.replace(b"\r\n", b"\n")
-
-    def test_empty_lines_dropped_before_splitting_lines(self, tmp_path, monkeypatch):
-        # Runs of empty lines, leading, mid-file or trailing, are dropped in
-        # the same pass that makes CRLF ends LF; the next parse of the file
-        # succeeds, so it is never split into lines and filtered.
-        truth = GroundTruth.from_sets((frozenset({1, 3}), frozenset({0, 2}), frozenset({3})))
-        path = tmp_path / "gt.tsv"
-        write_ground_truth(path, truth)
-        lf = path.read_bytes()
-        seen = []
-
-        def tab_pairs(data):
-            seen.append(data)
-            return tab_pairs_of(data)
-
-        def line_filter(*args):
-            raise AssertionError("split into lines")
-
-        tab_pairs_of = cli._tab_pairs
-        monkeypatch.setattr(cli, "_tab_pairs", tab_pairs)
-        monkeypatch.setattr(cli, "filter", line_filter, raising=False)
-        mid = lf.replace(b"\n", b"\n\n\n", 2)
-        crlf = (b"\n" + mid + b"\n").replace(b"\n", b"\r\n")
-        for data, stages in ((lf + b"\n", 2), (b"\n\n" + lf, 2), (mid, 2), (crlf, 2)):
-            seen.clear()
-            path.write_bytes(data)
-            back = read_ground_truth(path, 3, 4)
-            assert np.array_equal(back.indptr, truth.indptr)
-            assert np.array_equal(back.indices, truth.indices)
-            assert len(seen) == stages and seen[-1] == lf
 
     def test_duplicates_collapse_and_rows_sort(self, tmp_path):
         path = tmp_path / "gt.tsv"
@@ -311,9 +255,9 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.tsv"
         # The bad line is line 7; a later line is bad in another way. In the
         # CRLF file and the second LF file blank lines come first, so the bad
-        # line's number differs from its row. The LF files' other lines are
-        # digits only, so an out-of-range bad line is parsed in one pass first,
-        # in the second file once its empty lines are dropped.
+        # line's number differs from its row. The first LF file's other lines
+        # are digits only, so an out-of-range bad line there is parsed in one
+        # pass first; the blank lines send the other files to the line loop.
         layouts = [
             ("\r\n", ["0\t1", "", "  ", "1\t2", "\t", ""], ["1\t3", "0\tz", "7\t0"]),
             ("\n", ["0\t1", "1\t2", "0\t3", "1\t0", "0\t2", "1\t1"], ["1\t3", "7\t0"]),
