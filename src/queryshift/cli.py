@@ -124,7 +124,7 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
     # writes it, is parsed in one pass. Every other file, and every file with
     # a bad line, goes through the line loop, which names the line at fault.
     pairs = _tab_pairs(data)
-    if pairs is None or np.any(pairs >= [num_queries, gallery_size]):
+    if pairs is None or pairs[:, 0].max() >= num_queries or pairs[:, 1].max() >= gallery_size:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -336,11 +336,14 @@ def _load_inputs(cfg: RunConfig):
         raise BadInputError(f"{cfg.paths['queries']}: no query rows")
     if g_arr.shape[1] != stream.shape[1]:
         raise BadInputError("gallery and query dims differ")
-    # float32 storage perturbs unit norms; re-normalize in float64.
+    # float32 storage perturbs unit norms; re-normalize in float64. Each
+    # gallery-sized array goes once the next exists: two are held at most.
     try:
-        gallery = Gallery(l2_normalize_rows(g_arr))
+        g_arr = l2_normalize_rows(g_arr)
+        gallery = Gallery(g_arr)
     except (QueryShiftError, ValueError) as exc:
         raise BadInputError(f"bad gallery file: {exc}") from exc
+    del g_arr
     truth = read_ground_truth(cfg.paths["ground_truth"], stream.shape[0], gallery.size)
     return gallery, stream, truth
 

@@ -721,6 +721,28 @@ class TestCmdAdapt:
         report = cmd_adapt(cfg)
         assert report["recall"]["1"] >= 0.9
 
+    def test_load_holds_two_gallery_copies(self, tmp_path):
+        # The file's float64 rows, their normalized copy and the Gallery's
+        # own copy would be three gallery-sized arrays at once; the raw rows
+        # must go before the Gallery copies the normalized ones.
+        rng = np.random.default_rng(40)
+        items = rng.standard_normal((8192, 32))
+        paths = {name: tmp_path / name for name in ("gallery", "queries", "ground_truth")}
+        write_embeddings(paths["gallery"], items)
+        write_embeddings(paths["queries"], rng.standard_normal((16, 32)))
+        write_ground_truth(
+            paths["ground_truth"], GroundTruth.from_sets(frozenset({i}) for i in range(16))
+        )
+        cfg = parse_config({"method": "none", "paths": {k: str(v) for k, v in paths.items()}})
+        tracemalloc.start()
+        try:
+            gallery, _, _ = cli._load_inputs(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gallery.size == 8192
+        assert peak < 2.5 * items.nbytes
+
     def test_diverse_stream_end_to_end(self):
         # Per-query corruption draws from three domains, decoupling active by
         # default: the KL diagnostics must be populated and finite throughout.

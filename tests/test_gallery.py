@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,37 @@ class TestKnn:
             assert len(list(gallery_mod._row_blocks(11, 24))) >= 3
             for k, want in whole.items():
                 assert np.array_equal(knn_table(g, queries, k), want)
+
+
+class TestRowBlock:
+    """Row blocks below ``SCORE_BLOCK`` change neither a ranking nor the flat memory."""
+
+    def test_block_shape_cannot_change_a_ranking(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        # Duplicate rows exercise the tie rule through first_copy.
+        g = repeated_row_gallery(rng, 512, 32)
+        assert g.first_copy is not None
+        queries = rng.standard_normal((1000, 32))
+        want = {k: knn_table(g, queries, k) for k in (1, 10)}
+        for row_block, score_block in itertools.product((1, 7, 256), (1 << 19, 3 * 512 + 5)):
+            monkeypatch.setattr(gallery_mod, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(gallery_mod, "SCORE_BLOCK", score_block)
+            for k, ids in want.items():
+                assert np.array_equal(knn_table(g, queries, k), ids), (row_block, score_block, k)
+
+    def test_whole_stream_ranking_memory(self):
+        # 4,096 queries at 512 items: 1,024-row blocks of float64 scores
+        # peaked at 5.2 MB, 256-row blocks at 1.6 MB.
+        g = random_gallery(512, 32, 22)
+        queries = l2_normalize_rows(np.random.default_rng(23).standard_normal((4096, 32)))
+        assert g.first_copy is None
+        tracemalloc.start()
+        try:
+            knn_table(g, queries, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestKnnScreened(TestKnn):
