@@ -280,19 +280,13 @@ class AdaptationSession:
         positives = state.positives
         scores = source_likeness(state.z, positives, state.z.mean(axis=0), positives.mean(axis=0))
         queue = update_queue(self.queue, state.z, positives, scores, state.entropies)
-        constraints = estimate_constraints(queue)
+        delta_s, e_b = estimate_constraints(queue)
 
-        breakdown, g_d = total_loss_and_grad(state, constraints)
+        breakdown, g_d = total_loss_and_grad(state, delta_s, e_b)
         kl, g_r = kl_general(state, self._source_probs(state))
         g_hat, w_d = decouple(g_d, g_r, kl)
 
-        diagnostics.objective = breakdown.l_total
-        diagnostics.l_u, diagnostics.l_g = breakdown.l_u, breakdown.l_g
-        diagnostics.l_rem, diagnostics.l_rhm = breakdown.l_rem, breakdown.l_rhm
-        diagnostics.d_kl = kl
-        diagnostics.w_d = w_d
-        diagnostics.angle_deg = _angle_degrees(g_d, g_r)
-        diagnostics.active_count = breakdown.active_count
-        diagnostics.delta_s = constraints.gap_source
-        diagnostics.e_b = constraints.entropy_threshold
+        # Every LossBreakdown field is a BatchDiagnostics field of the same name.
+        vars(diagnostics).update(vars(breakdown), d_kl=kl, w_d=w_d,
+                                 angle_deg=_angle_degrees(g_d, g_r), delta_s=delta_s, e_b=e_b)
         return (g_hat if self.config.decouple else g_d), queue

@@ -79,12 +79,6 @@ def _emb1_bytes(arr: np.ndarray) -> bytes:
     return _HEADER.pack(MAGIC, *arr.shape) + payload.tobytes(order="C")
 
 
-def write_embeddings(path, arr: np.ndarray) -> None:
-    """Write a 2-D float array as an EMB1 file (float32 on disk); a refused
-    array leaves no file."""
-    Path(path).write_bytes(_emb1_bytes(arr))
-
-
 def read_embeddings(path) -> np.ndarray:
     """Read an EMB1 file into float64; rejects bad headers and non-finite data."""
     try:
@@ -193,14 +187,13 @@ class InputPaths:
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class RunConfig(SessionConfig):
-    """The scalar fields of a run and of its blocks (``SyntheticSpec``, ``CorruptionSpec``,
-    ``InputPaths``) are the config keys, typed by ``_KINDS``, with their defaults.
-    The session keys and their defaults and ranges are those of ``SessionConfig``."""
+    """The fields of a run and of its blocks (``InputPaths``, ``SyntheticSpec``, its
+    ``CorruptionSpec``s) are the config keys, scalars typed by ``_KINDS``, with their
+    defaults. The session keys and their defaults and ranges are those of ``SessionConfig``."""
 
     method: str
-    paths: dict | None = None
+    paths: InputPaths | None = None
     synth: SyntheticSpec | None = None
-    corruptions: tuple = ()
 
 
 def _typed(obj: dict, key: str, default, kind: str):
@@ -220,12 +213,15 @@ def _typed(obj: dict, key: str, default, kind: str):
 
 def _block(obj, cls, where: str, nested=(), **defaults):
     """Dataclass ``cls`` built from the JSON object ``obj``, whose keys are the
-    scalar fields of ``cls`` (required if they have no default) and ``nested``.
-    ``defaults`` override declared defaults and supply the parsed nested fields."""
+    scalar fields of ``cls`` (required if they have no default), its ``tuple``
+    fields (JSON arrays of corruption objects) and ``nested``. ``defaults``
+    override declared defaults and supply the parsed nested fields."""
     if not isinstance(obj, dict):
         raise BadConfigError(f"{where} must be a JSON object, got {obj!r}")
-    scalars = [f for f in dataclasses.fields(cls) if f.type in _KINDS]
-    unknown = set(obj) - {f.name for f in scalars} - set(nested)
+    fields = dataclasses.fields(cls)
+    scalars = [f for f in fields if f.type in _KINDS]
+    arrays = [f.name for f in fields if f.type == "tuple"]
+    unknown = set(obj) - {f.name for f in scalars} - set(arrays) - set(nested)
     if unknown:
         raise BadConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = [f.name for f in scalars if f.default is dataclasses.MISSING and f.name not in obj]
@@ -234,17 +230,15 @@ def _block(obj, cls, where: str, nested=(), **defaults):
     values = dict(defaults)
     for f in scalars:
         values[f.name] = _typed(obj, f.name, values.get(f.name, f.default), _KINDS[f.type])
+    for name in arrays:
+        values[name] = tuple(
+            _block(item, CorruptionSpec, f"{where}.{name}[{i}]")
+            for i, item in enumerate(_typed(obj, name, [], "array"))
+        )
     try:
         return cls(**values)
     except (QueryShiftError, TypeError, ValueError) as exc:
         raise BadConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_corruption(obj, where: str) -> CorruptionSpec:
-    # _block rejects a non-object; read no parts from one.
-    parts = _typed(obj, "parts", [], "array") if isinstance(obj, dict) else []
-    parts = tuple(_parse_corruption(p, f"{where}.parts[{i}]") for i, p in enumerate(parts))
-    return _block(obj, CorruptionSpec, where, nested=("parts",), parts=parts)
 
 
 def parse_config(obj) -> RunConfig:
@@ -253,19 +247,12 @@ def parse_config(obj) -> RunConfig:
         raise BadConfigError(f"config must be a JSON object, got {obj!r}")
     if ("paths" in obj) == ("synth" in obj):
         raise BadConfigError("config: provide exactly one of 'paths' or 'synth'")
-    paths, synth, corruptions = None, None, ()
-    if "paths" in obj:
-        paths = dataclasses.asdict(_block(obj["paths"], InputPaths, "config.paths"))
-    else:
-        synth = _block(obj["synth"], SyntheticSpec, "config.synth", nested=("corruptions",))
-        corruptions = tuple(
-            _parse_corruption(c, f"config.synth.corruptions[{i}]")
-            for i, c in enumerate(_typed(obj["synth"], "corruptions", [], "array"))
-        )
+    paths = _block(obj["paths"], InputPaths, "config.paths") if "paths" in obj else None
+    synth = _block(obj["synth"], SyntheticSpec, "config.synth") if "synth" in obj else None
     # Unless set explicitly, decoupling follows the shift type: on for
     # diverse (per-query) corruption streams, off otherwise.
     cfg = _block(obj, RunConfig, "config", nested=("paths", "synth"), paths=paths, synth=synth,
-                 corruptions=corruptions, decouple=len(corruptions) > 1)
+                 decouple=synth is not None and len(synth.corruptions) > 1)
     if cfg.method not in METHODS:
         raise BadConfigError(f"config: method must be one of {METHODS}, got {cfg.method!r}")
     return cfg
@@ -283,28 +270,23 @@ def load_config(path) -> RunConfig:
     return parse_config(obj)
 
 
-def _echo(spec) -> dict:
-    """The scalar fields of a config dataclass, as reports echo them."""
-    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec) if f.type in _KINDS}
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = _echo(cfg)
-    if cfg.paths is not None:
-        echo["paths"] = dict(cfg.paths)
-    if cfg.synth is not None:
-        echo["synth"] = _echo(cfg.synth)
-        echo["synth"]["corruptions"] = [_corruption_echo(c) for c in cfg.corruptions]
+def _config_echo(spec) -> dict:
+    """A config dataclass as reports echo it: every field that is set, with
+    blocks and arrays echoed in turn; a corruption echoes its kind and only
+    the fields that kind reads (``CORRUPTION_FIELDS``)."""
+    names = [f.name for f in dataclasses.fields(spec)]
+    if isinstance(spec, CorruptionSpec):
+        names = ["kind", *CORRUPTION_FIELDS[spec.kind]]
+    echo = {}
+    for name in names:
+        value = getattr(spec, name)
+        if dataclasses.is_dataclass(value):
+            value = _config_echo(value)
+        elif isinstance(value, tuple):
+            value = [_config_echo(item) for item in value]
+        if value is not None:
+            echo[name] = value
     return echo
-
-
-def _corruption_echo(c: CorruptionSpec) -> dict:
-    """The kind and the fields it reads (``CORRUPTION_FIELDS``)."""
-    out = {"kind": c.kind}
-    for name in CORRUPTION_FIELDS[c.kind]:
-        value = getattr(c, name)
-        out[name] = [_corruption_echo(p) for p in value] if name == "parts" else value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +300,7 @@ def _synthesize(cfg: RunConfig):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             gallery, stream, truth = generate_benchmark(cfg.synth)
-            corrupted = corrupt_stream(stream, cfg.corruptions, cfg.synth.seed)
+            corrupted = corrupt_stream(stream, cfg.synth.corruptions, cfg.synth.seed)
             l2_normalize_rows(corrupted)
     except (QueryShiftError, ValueError, MemoryError) as exc:
         raise BadConfigError(f"config.synth: {exc}") from exc
@@ -330,10 +312,10 @@ def _load_inputs(cfg: RunConfig):
     if cfg.synth is not None:
         gallery, _, stream, truth = _synthesize(cfg)
         return gallery, stream, truth
-    g_arr = read_embeddings(cfg.paths["gallery"])
-    stream = read_embeddings(cfg.paths["queries"])
+    g_arr = read_embeddings(cfg.paths.gallery)
+    stream = read_embeddings(cfg.paths.queries)
     if stream.shape[0] == 0:
-        raise BadInputError(f"{cfg.paths['queries']}: no query rows")
+        raise BadInputError(f"{cfg.paths.queries}: no query rows")
     if g_arr.shape[1] != stream.shape[1]:
         raise BadInputError("gallery and query dims differ")
     # float32 storage perturbs unit norms; re-normalize in float64. Each
@@ -344,13 +326,8 @@ def _load_inputs(cfg: RunConfig):
     except (QueryShiftError, ValueError) as exc:
         raise BadInputError(f"bad gallery file: {exc}") from exc
     del g_arr
-    truth = read_ground_truth(cfg.paths["ground_truth"], stream.shape[0], gallery.size)
+    truth = read_ground_truth(cfg.paths.ground_truth, stream.shape[0], gallery.size)
     return gallery, stream, truth
-
-
-def _rank(gallery: Gallery, z: np.ndarray) -> np.ndarray:
-    """Top ``min(RANK_DEPTH, gallery.size)`` gallery ids of each row of ``z``."""
-    return knn_table(gallery, z, min(RANK_DEPTH, gallery.size))
 
 
 def _stream_metrics(z: np.ndarray, sums: np.ndarray, gallery: Gallery, truth: GroundTruth,
@@ -359,7 +336,7 @@ def _stream_metrics(z: np.ndarray, sums: np.ndarray, gallery: Gallery, truth: Gr
     ``relevant_sums`` of ``truth``, and the recall of their ``first_hits``,
     which ``z`` is ranked for here unless the caller holds them."""
     if hits is None:
-        hits = first_hits(_rank(gallery, z), truth)
+        hits = first_hits(knn_table(gallery, z, min(RANK_DEPTH, gallery.size)), truth)
     return {
         "uniformity": metric_uniformity(z),
         "gap": metric_gap(z, gallery.center),
@@ -537,6 +514,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise BadConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.seed is not None and args.command == "synth":
+            raise BadConfigError("synth takes no --seed: its data follow the config's synth.seed")
         if args.command == "gradcheck":
             seed = args.seed if args.seed is not None else 0
             report = cmd_gradcheck(seed)

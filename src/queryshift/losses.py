@@ -21,7 +21,7 @@ from .errors import (
     DimMismatchError, DivergenceError, EmptyBatchError, InvalidSpecError, ZeroVectorError
 )
 from .gallery import Gallery, build_centroids
-from .refine import CandidateBatch, ConstraintEstimates, build_candidate_sets
+from .refine import CandidateBatch, build_candidate_sets
 from .vectors import (
     EPS_NORM, EPS_PROB, clamped_log, l2_normalize_rows, shannon_entropy, softmax_temp
 )
@@ -29,13 +29,13 @@ from .vectors import (
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term values of the robust objective; the total is their sum."""
+    """Per-term values of the robust objective; ``objective`` is their sum."""
 
     l_u: float
     l_g: float
     l_rem: float
     l_rhm: float
-    l_total: float
+    objective: float
     active_count: int
 
 
@@ -262,21 +262,20 @@ def hard_negative_slots(state: ForwardState) -> np.ndarray:
     return np.argmax(c, axis=1)
 
 
-def total_loss_and_grad(state: ForwardState, constraints: ConstraintEstimates):
+def total_loss_and_grad(state: ForwardState, delta_s: float, e_b: float):
     """Robust objective value and its analytic gradient over (gamma, beta).
 
-    The four terms are uniformity, gap, filtered entropy, and filtered hard
-    mining. Filter weights come from the queue-estimated entropy threshold;
-    a non-positive threshold filters everything (the consistency terms and
-    their gradients vanish instead of faulting).
+    The four terms are uniformity, gap (held near the source gap ``delta_s``),
+    filtered entropy, and filtered hard mining. Filter weights come from the
+    entropy threshold ``e_b``; a non-positive threshold filters everything
+    (the consistency terms and their gradients vanish instead of faulting).
     """
-    e_b = constraints.entropy_threshold
     w = rem_weights(state.entropies, e_b) if e_b > 0 else np.zeros(state.batch_size)
     n_act = int(np.count_nonzero(w))
     # A fully filtered batch never asks for hard negatives.
     slots = hard_negative_slots(state) if n_act else None
-    values, dz = _robust_terms(state, w, n_act, slots, constraints.gap_source)
-    breakdown = LossBreakdown(*values, l_total=sum(values), active_count=n_act)
+    values, dz = _robust_terms(state, w, n_act, slots, delta_s)
+    breakdown = LossBreakdown(*values, objective=sum(values), active_count=n_act)
     return breakdown, param_grad(state, dz)
 
 

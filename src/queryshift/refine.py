@@ -89,14 +89,6 @@ class SourceLikeQueue:
         return self.scores.size
 
 
-@dataclass(frozen=True)
-class ConstraintEstimates:
-    """Source-gap estimate and entropy threshold derived from the queue."""
-
-    gap_source: float
-    entropy_threshold: float
-
-
 def build_candidate_sets(
     batch_z: np.ndarray, gallery: Gallery, centroids: CentroidSet, k: int
 ) -> CandidateBatch:
@@ -183,12 +175,9 @@ def update_queue(
     )
 
 
-def estimate_constraints(queue: SourceLikeQueue) -> ConstraintEstimates:
-    """Gap between the queue-side means and the max stored entropy."""
+def estimate_constraints(queue: SourceLikeQueue) -> tuple[float, float]:
+    """``(delta_s, e_b)``: the gap between the queue-side means and the max stored entropy."""
     if len(queue) == 0:
         raise EmptyBatchError("cannot estimate constraints from an empty queue")
     gap = queue.query_embs.mean(axis=0) - queue.positive_embs.mean(axis=0)
-    return ConstraintEstimates(
-        gap_source=float(np.linalg.norm(gap)),
-        entropy_threshold=float(queue.entropies.max()),
-    )
+    return float(np.linalg.norm(gap)), float(queue.entropies.max())

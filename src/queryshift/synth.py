@@ -43,7 +43,7 @@ NO_HIT = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of a class-prototype benchmark."""
+    """Parameters of a class-prototype benchmark and its stream's ``CorruptionSpec``s."""
 
     classes: int
     dim: int
@@ -52,6 +52,7 @@ class SyntheticSpec:
     sigma_query: float = 0.0
     sigma_gallery: float = 0.0
     seed: int = 0
+    corruptions: tuple = ()
 
     def __post_init__(self):
         if self.classes < 2:

@@ -23,7 +23,6 @@ from queryshift.losses import (
 )
 from queryshift.refine import (
     CandidateSet,
-    ConstraintEstimates,
     build_candidate_sets,
 )
 from queryshift.vectors import l2_normalize_rows, softmax_temp
@@ -160,9 +159,7 @@ def test_criterion_7_fully_filtered_batch_is_inert():
     assert np.all(state.entropies > 1e-300)
     e_b = float(state.entropies.min()) * 0.5
     delta_t = float(np.linalg.norm(state.z.mean(axis=0) - state.positives.mean(axis=0)))
-    constraints = ConstraintEstimates(gap_source=delta_t, entropy_threshold=e_b)
-
-    breakdown, grad = total_loss_and_grad(state, constraints)
+    breakdown, grad = total_loss_and_grad(state, delta_t, e_b)
     assert breakdown.l_rem == 0.0
     assert breakdown.l_rhm == 0.0
     assert breakdown.active_count == 0

@@ -14,6 +14,7 @@ from csr import csr_rows
 from queryshift import adapt, cli, losses, synth
 from queryshift.cli import (
     _config_echo,
+    _emb1_bytes,
     _stream_metrics,
     cmd_adapt,
     cmd_gradcheck,
@@ -24,7 +25,6 @@ from queryshift.cli import (
     parse_config,
     read_embeddings,
     read_ground_truth,
-    write_embeddings,
     write_ground_truth,
 )
 from queryshift.errors import BadConfigError, BadInputError
@@ -80,19 +80,25 @@ def corruption_config_dict(**over):
     return synth_config_dict(corruptions=[corruption])
 
 
+def write_emb1(path, arr):
+    """Write ``arr`` as an EMB1 file the way ``cmd_synth`` does: encoded in
+    full before the file is opened."""
+    Path(path).write_bytes(_emb1_bytes(arr))
+
+
 class TestEmbeddingFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((7, 5)).astype(np.float32).astype(np.float64)
         path = tmp_path / "x.emb1"
-        write_embeddings(path, arr)
+        write_emb1(path, arr)
         back = read_embeddings(path)
         assert np.array_equal(back, arr)
         assert back.dtype == np.float64
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "x.emb1"
-        write_embeddings(path, np.zeros((2, 3)))
+        write_emb1(path, np.zeros((2, 3)))
         blob = path.read_bytes()
         magic, n, d = struct.unpack_from("<4sII", blob)
         assert magic == b"EMB1"
@@ -107,12 +113,12 @@ class TestEmbeddingFile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BadInputError, match="not finite in float32"):
-                write_embeddings(path, arr)
+                write_emb1(path, arr)
         assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.emb1"
-        write_embeddings(path, np.zeros((2, 3)))
+        write_emb1(path, np.zeros((2, 3)))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
@@ -121,7 +127,7 @@ class TestEmbeddingFile:
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "x.emb1"
-        write_embeddings(path, np.zeros((2, 3)))
+        write_emb1(path, np.zeros((2, 3)))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(BadInputError):
             read_embeddings(path)
@@ -405,8 +411,8 @@ class TestConfigParsing:
             with pytest.raises(BadConfigError):
                 parse_config(corruption_config_dict(**{key: value}))
         cfg = parse_config(corruption_config_dict(delta=1, domain=2))
-        assert (cfg.corruptions[0].delta, cfg.corruptions[0].domain) == (1.0, 2)
-        assert isinstance(cfg.corruptions[0].delta, float)
+        assert (cfg.synth.corruptions[0].delta, cfg.synth.corruptions[0].domain) == (1.0, 2)
+        assert isinstance(cfg.synth.corruptions[0].delta, float)
         assert isinstance(parse_config(synth_config_dict(sigma_query=0)).synth.sigma_query, float)
 
     def test_decouple_defaults_by_shift_type(self):
@@ -467,7 +473,7 @@ class TestConfigParsing:
             {"kind": "uniformity_collapse", "delta": 0.7, "parts": [{"kind": "mean_shift"}]},
         ]
         cfg = parse_config({"method": "rest", "synth": {**synth, "seed": 4, "corruptions": unread}})
-        assert cfg.corruptions[0].sigma == 0.4
+        assert cfg.synth.corruptions[0].sigma == 0.4
         assert _config_echo(cfg) == {
             **run,
             "method": "rest",
@@ -523,6 +529,20 @@ class TestConfigSchema:
             optional: "float | None" = None
 
         assert unsettable_fields(Extended) == ["optional"]
+
+    def test_every_field_is_a_key_of_its_block(self):
+        corruption = {"kind": "compose", "sigma": 0.1, "delta": 0.5, "rho": 0.2, "domain": 1,
+                      "parts": [{"kind": "mean_shift"}]}
+        synth = {**BASE_SYNTH, "corruptions": [corruption]}
+        paths = {"gallery": "g.emb1", "queries": "q.emb1", "ground_truth": "t.tsv"}
+        run = config_dict(method="rest", synth=synth)
+        # Each block parses, so each of its keys is one the parser takes.
+        parse_config(run)
+        parse_config({**{k: v for k, v in run.items() if k != "synth"}, "paths": paths})
+        blocks = [(cli.RunConfig, {**run, "paths": paths}), (SyntheticSpec, synth),
+                  (CorruptionSpec, corruption), (cli.InputPaths, paths)]
+        for cls, block in blocks:
+            assert {f.name for f in dataclasses.fields(cls)} == set(block), cls.__name__
 
     def test_corruption_fields_name_real_fields(self):
         names = {f.name for f in dataclasses.fields(CorruptionSpec)} - {"kind"}
@@ -728,8 +748,8 @@ class TestCmdAdapt:
         rng = np.random.default_rng(40)
         items = rng.standard_normal((8192, 32))
         paths = {name: tmp_path / name for name in ("gallery", "queries", "ground_truth")}
-        write_embeddings(paths["gallery"], items)
-        write_embeddings(paths["queries"], rng.standard_normal((16, 32)))
+        write_emb1(paths["gallery"], items)
+        write_emb1(paths["queries"], rng.standard_normal((16, 32)))
         write_ground_truth(
             paths["ground_truth"], GroundTruth.from_sets(frozenset({i}) for i in range(16))
         )
@@ -906,6 +926,15 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "adapt", "--seed", "-2"]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
 
+    def test_synth_seed_flag_exit_two(self, tmp_path, capsys):
+        # synth's data follow the synth block's seed, which --seed does not set.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict()), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert main(["--config", str(cfg_path), "synth", "--out", str(out), "--seed", "5"]) == 2
+        assert "synth.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_gradcheck_exit_four(self, tmp_path, monkeypatch):
         offset_analytic_gradients(monkeypatch)
         out = tmp_path / "gradcheck.json"
@@ -1050,7 +1079,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["adapt", "metrics"])
     def test_empty_gallery_file_exit_three(self, tmp_path, capsys, command):
         files = cmd_synth(parse_config(config_dict()), tmp_path / "bench")["files"]
-        write_embeddings(files["gallery"], np.zeros((0, BASE_SYNTH["dim"])))
+        write_emb1(files["gallery"], np.zeros((0, BASE_SYNTH["dim"])))
         cfg = {
             "method": "none",
             "paths": {
@@ -1068,7 +1097,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["adapt", "metrics", "probe"])
     def test_empty_query_file_exit_three(self, tmp_path, capsys, command):
         files = cmd_synth(parse_config(config_dict()), tmp_path / "bench")["files"]
-        write_embeddings(files["queries_corrupt"], np.zeros((0, BASE_SYNTH["dim"])))
+        write_emb1(files["queries_corrupt"], np.zeros((0, BASE_SYNTH["dim"])))
         Path(files["ground_truth"]).write_text("", encoding="utf-8")
         cfg = {
             "method": "none",

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from queryshift.cli import cmd_adapt, cmd_metrics, cmd_probe, parse_config
+from queryshift.cli import _config_echo, cmd_adapt, cmd_metrics, cmd_probe, parse_config
 
 FIXTURE = Path(__file__).parent / "golden" / "adapt_reports.json"
 PROBE_FIXTURE = Path(__file__).parent / "golden" / "probe_metrics_reports.json"
@@ -168,6 +168,14 @@ def test_probe_fixture_covers_every_case(golden_probe):
 @pytest.mark.parametrize("case", PROBE_CASES)
 def test_probe_report_matches_golden(golden_probe, case):
     assert_matches(golden_probe_report(case), golden_probe[case])
+
+
+def test_config_echo_parses_back(golden, golden_probe):
+    """Each golden report's ``config`` parses to a config that echoes it
+    unchanged, with each value's JSON type."""
+    for report in [*golden.values(), *golden_probe.values()]:
+        echo = _config_echo(parse_config(report["config"]))
+        assert json.dumps(echo, sort_keys=True) == json.dumps(report["config"], sort_keys=True)
 
 
 # The stream-rest benchmark's shape at 512 queries: OpenBLAS's 2-thread GEMM

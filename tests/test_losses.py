@@ -23,7 +23,7 @@ from queryshift.losses import (
     rem_weights,
     total_loss_and_grad,
 )
-from queryshift.refine import ConstraintEstimates, build_candidate_sets
+from queryshift.refine import build_candidate_sets
 from queryshift.vectors import (
     EPS_PROB, clamped_log, l2_normalize_rows, shannon_entropy, softmax_temp
 )
@@ -319,8 +319,7 @@ class TestTotalLossAndGrad:
         cands = build_candidate_sets(z, gallery, cents, 3)
         state = forward_state(gamma, beta, raw, cands, 0.5)
         delta_t = float(np.linalg.norm(state.z.mean(axis=0) - state.positives.mean(axis=0)))
-        constraints = ConstraintEstimates(gap_source=delta_t, entropy_threshold=1e-9)
-        breakdown, grad = total_loss_and_grad(state, constraints)
+        breakdown, grad = total_loss_and_grad(state, delta_t, 1e-9)
         assert breakdown.l_u == pytest.approx(1.0)
         assert breakdown.l_g == pytest.approx(0.0, abs=1e-18)
         assert breakdown.l_rem == 0.0
@@ -331,9 +330,8 @@ class TestTotalLossAndGrad:
     def test_breakdown_sums(self):
         state, _, _, _ = make_instance(seed=10)
         e_b = 1.2 * float(np.median(state.entropies))
-        constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
-        breakdown, _ = total_loss_and_grad(state, constraints)
-        assert breakdown.l_total == pytest.approx(
+        breakdown, _ = total_loss_and_grad(state, 0.1, e_b)
+        assert breakdown.objective == pytest.approx(
             breakdown.l_u + breakdown.l_g + breakdown.l_rem + breakdown.l_rhm, abs=1e-9
         )
         assert 0.0 < breakdown.l_u <= 1.0
@@ -342,8 +340,7 @@ class TestTotalLossAndGrad:
     def test_matches_finite_differences(self):
         state, raw, cands, _ = make_instance(seed=11, b=8, d=16, k=4)
         e_b = 1.2 * float(np.median(state.entropies))
-        constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
-        _, grad = total_loss_and_grad(state, constraints)
+        _, grad = total_loss_and_grad(state, 0.1, e_b)
 
         w = rem_weights(state.entropies, e_b)
         n_act = int(np.count_nonzero(w))
@@ -386,8 +383,7 @@ class TestTotalLossAndGrad:
 
     def test_all_filtered_no_numerical_faults(self):
         state, _, _, _ = make_instance(seed=13)
-        constraints = ConstraintEstimates(gap_source=0.3, entropy_threshold=1e-12)
-        breakdown, grad = total_loss_and_grad(state, constraints)
+        breakdown, grad = total_loss_and_grad(state, 0.3, 1e-12)
         assert breakdown.l_rem == 0.0 and breakdown.l_rhm == 0.0
         assert np.all(np.isfinite(grad))
 
@@ -551,9 +547,8 @@ class TestPaddedBatch:
             src = forward_state(np.ones(state.dim), np.zeros(state.dim), raw, cands, tau)
             assert np.all(np.isfinite(state.entropies))
             e_b = float(np.max(state.entropies)) * 1.5
-            constraints = ConstraintEstimates(gap_source=0.1, entropy_threshold=e_b)
-            breakdown, grad = total_loss_and_grad(state, constraints)
-            assert np.isfinite(breakdown.l_total)
+            breakdown, grad = total_loss_and_grad(state, 0.1, e_b)
+            assert np.isfinite(breakdown.objective)
             assert np.all(np.isfinite(grad))
             for val, dz in (
                 _kl_grad(state, src.probs),

@@ -380,20 +380,20 @@ class TestQueue:
 class TestEstimateConstraints:
     def test_identical_pairs_zero_gap(self):
         q = push(empty(3), [1.0, 2.0])
-        est = estimate_constraints(q)
-        assert est.gap_source == pytest.approx(0.0, abs=1e-12)
+        delta_s, _ = estimate_constraints(q)
+        assert delta_s == pytest.approx(0.0, abs=1e-12)
 
     def test_single_orthogonal_pair(self):
         q = update_queue(
             empty(2), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [0.5], [0.2]
         )
-        est = estimate_constraints(q)
-        assert est.gap_source == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert est.entropy_threshold == 0.2
+        delta_s, e_b = estimate_constraints(q)
+        assert delta_s == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert e_b == 0.2
 
     def test_threshold_is_max(self):
         q = push(empty(3), [1.0, 2.0, 3.0], entropies=[0.1, 0.5, 0.3])
-        assert estimate_constraints(q).entropy_threshold == 0.5
+        assert estimate_constraints(q)[1] == 0.5
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -403,8 +403,8 @@ class TestEstimateConstraints:
         h = np.abs(scores)
         a = estimate_constraints(update_queue(empty(6), qs, ps, scores, h))
         b = estimate_constraints(update_queue(empty(6), qs[::-1], ps[::-1], scores[::-1], h[::-1]))
-        assert a.gap_source == pytest.approx(b.gap_source, abs=1e-12)
-        assert a.entropy_threshold == b.entropy_threshold
+        assert a[0] == pytest.approx(b[0], abs=1e-12)
+        assert a[1] == b[1]
 
     def test_empty_queue_raises(self):
         with pytest.raises(EmptyBatchError):
