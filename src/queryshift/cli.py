@@ -19,7 +19,7 @@ import math
 import struct
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .adapt import (
     forward_adapter,
 )
 from .errors import BadConfigError, BadInputError, QueryShiftError
-from .gallery import Gallery, knn_table
+from .gallery import _ROW_BLOCK, Gallery, knn_table
 from .losses import gradient_check
 from .synth import (
     CORRUPTION_FIELDS,
@@ -124,8 +124,11 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
         except UnicodeDecodeError as exc:
             raise BadInputError(f"cannot read {path}: {exc}") from exc
         pairs = _pairs_by_line(path, text, num_queries, gallery_size)
-    keys = np.sort(pairs[:, 0] * gallery_size + pairs[:, 1])
-    keys = keys[np.diff(keys, prepend=-1) > 0]
+    keys = pairs[:, 0] * gallery_size + pairs[:, 1]
+    # write_ground_truth writes each pair once, in order: such keys need no sort.
+    if not (keys[1:] > keys[:-1]).all():
+        keys = np.sort(keys)
+        keys = keys[np.diff(keys, prepend=-1) > 0]
     counts = np.bincount(keys // gallery_size, minlength=num_queries)
     if not counts.all():
         raise BadInputError(f"{path}: query {int(np.argmin(counts))} has no relevant items")
@@ -330,19 +333,39 @@ def _load_inputs(cfg: RunConfig):
     return gallery, stream, truth
 
 
-def _stream_metrics(z: np.ndarray, sums: np.ndarray, gallery: Gallery, truth: GroundTruth,
+def _stream_metrics(embed, cuts, gallery: Gallery, truth: GroundTruth, sums,
                     hits: np.ndarray | None = None) -> dict:
-    """Geometry metrics of the embeddings ``z``, their consistency against the
-    ``relevant_sums`` of ``truth``, and the recall of their ``first_hits``,
-    which ``z`` is ranked for here unless the caller holds them."""
-    if hits is None:
-        hits = first_hits(knn_table(gallery, z, min(RANK_DEPTH, gallery.size)), truth)
+    """Geometry metrics of embeddings given in row blocks, their consistency
+    against the ``relevant_sums`` of ``truth`` and the recall of their
+    ``first_hits``.
+
+    ``embed(cut)`` gives the embeddings of the rows ``cut``, and ``cuts``
+    covers ``truth``'s queries in order. Each block is ranked for its first
+    hits here unless the caller holds them all. A second pass over the blocks
+    measures each row's distance to the center of all of them, so at most
+    one block of embeddings is built at a time.
+    """
+    sets, slot = sums
+    n, pairs, depth = len(truth), truth.indices.size, min(RANK_DEPTH, gallery.size)
+    total, consistency, found = np.zeros(gallery.dim), 0.0, []
+    for cut in cuts:
+        z = embed(cut)
+        total += z.sum(axis=0)
+        consistency += metric_consistency(z, sets[slot[cut]], pairs)
+        if hits is None:
+            found.append(first_hits(knn_table(gallery, z, depth), truth[cut]))
+    center = total / n
     return {
-        "uniformity": metric_uniformity(z),
-        "gap": metric_gap(z, gallery.center),
-        "consistency": metric_consistency(z, truth, sums),
-        "recall": _recall(hits),
+        "uniformity": sum(metric_uniformity(embed(cut), center, n) for cut in cuts),
+        "gap": metric_gap(center, gallery.center),
+        "consistency": consistency,
+        "recall": _recall(np.concatenate(found) if hits is None else hits),
     }
+
+
+def _blocks(n: int) -> list:
+    """Slices of ``_ROW_BLOCK`` rows covering ``n`` rows in order."""
+    return [slice(a, a + _ROW_BLOCK) for a in range(0, n, _ROW_BLOCK)]
 
 
 def _recall(hits: np.ndarray) -> dict:
@@ -390,11 +413,14 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
     The loop only runs the session and keeps what each batch returns; each
-    batch's rankings on arrival are the online result. After the stream the
-    relevant-row sums are built, one first-hit pass ranks every query's online
-    ranking (the report's recall, and ``none``'s ``initial`` and ``final``,
-    which it never leaves), and every metrics row, each batch's and the whole
-    stream's, is one ``_stream_metrics`` call.
+    batch's rankings on arrival are the online result. After the stream,
+    blocks of ``_ROW_BLOCK`` queries take one first-hit pass over those
+    rankings (the report's recall, and ``none``'s ``initial`` and ``final``,
+    which it never leaves), each batch's metrics row reads its kept record,
+    and ``initial`` and ``final`` embed and rank the stream block by block.
+    Every row is one ``_stream_metrics`` call, and each record is released
+    once it has been read, so what the report adds to the stream's memory
+    does not grow with its length.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
@@ -414,19 +440,30 @@ def cmd_adapt(cfg: RunConfig) -> dict:
             batches.append((result.z, result.diagnostics))
             ranked.append(result.rankings.tolist())
 
+        cuts, rows, hits = _blocks(stream.shape[0]), chain.from_iterable(ranked), []
+        for cut in cuts:
+            top = list(islice(rows, _ROW_BLOCK))
+            ranks = np.fromiter(chain.from_iterable(top), np.int64).reshape(len(top), -1)
+            hits.append(first_hits(ranks, truth[cut]))
+        hits = np.concatenate(hits)
+        del ranked, rows, top
         sums = relevant_sums(gallery.items, truth)
-        ranks = np.fromiter(chain.from_iterable(chain.from_iterable(ranked)), np.int64)
-        hits = first_hits(ranks.reshape(stream.shape[0], -1), truth)
+        sets, slot = sums
         series: dict = {}
-        for a, (z, diag) in zip(range(0, stream.shape[0], cfg.batch), batches):
+        for i, a in enumerate(range(0, stream.shape[0], cfg.batch)):
+            z, diag = batches[i]
+            batches[i] = None
             cut = slice(a, a + cfg.batch)
-            row = vars(diag) | _stream_metrics(z, sums[cut], gallery, truth[cut], hits[cut])
+            # A batch is one block, so its row does not depend on _ROW_BLOCK.
+            row = vars(diag) | _stream_metrics(z.__getitem__, [slice(0, len(z))], gallery,
+                                               truth[cut], (sets, slot[cut]), hits[cut])
             row["recall_1"] = row.pop("recall")["1"]
             for key, value in row.items():
                 series.setdefault(key, []).append(value)
         kept = hits if cfg.method == "none" else None
         initial, final = (
-            _stream_metrics(forward_adapter(params, stream), sums, gallery, truth, kept)
+            _stream_metrics(lambda cut: forward_adapter(params, stream[cut]), cuts, gallery,
+                            truth, sums, kept)
             for params in (session.source_params, session.params)
         )
         if cfg.method == "rest":
@@ -440,10 +477,10 @@ def cmd_probe(cfg: RunConfig, lambda_scale, lambda_offset) -> dict:
     """Evaluate scale/offset probes of the non-adapting source embeddings."""
     def body(gallery, stream, truth):
         z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
-        sums = relevant_sums(gallery.items, truth)
+        sums, cuts = relevant_sums(gallery.items, truth), _blocks(len(truth))
 
         def row(lam, z):
-            return {"lambda": lam, **_stream_metrics(z, sums, gallery, truth)}
+            return {"lambda": lam, **_stream_metrics(z.__getitem__, cuts, gallery, truth, sums)}
 
         scale = [row(lam, scale_queries(z0, lam)) for lam in map(float, lambda_scale)]
         offset = [row(lam, offset_queries(z0, gallery.center, lam))
@@ -458,7 +495,8 @@ def cmd_metrics(cfg: RunConfig) -> dict:
     def body(gallery, stream, truth):
         z0 = forward_adapter(AdapterParams.identity(gallery.dim), stream)
         sums = relevant_sums(gallery.items, truth)
-        return {"metrics": _stream_metrics(z0, sums, gallery, truth)}
+        return {"metrics": _stream_metrics(z0.__getitem__, _blocks(len(truth)), gallery, truth,
+                                           sums)}
 
     return _report(cfg, body)
 
@@ -516,6 +554,8 @@ def main(argv=None) -> int:
             raise BadConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.seed is not None and args.command == "synth":
             raise BadConfigError("synth takes no --seed: its data follow the config's synth.seed")
+        if args.seed is not None and args.command in ("probe", "metrics"):
+            raise BadConfigError(f"{args.command} takes no --seed: it draws nothing at random")
         if args.command == "gradcheck":
             seed = args.seed if args.seed is not None else 0
             report = cmd_gradcheck(seed)

@@ -265,36 +265,40 @@ def offset_queries(z: np.ndarray, gallery_mean: np.ndarray, lam_offset: float) -
 # Diagnostic metrics
 # ---------------------------------------------------------------------------
 
-def metric_uniformity(z: np.ndarray) -> float:
-    """Mean Euclidean distance of embeddings to their center."""
+def metric_uniformity(z: np.ndarray, center: np.ndarray, rows: int) -> float:
+    """The part of ``z``'s rows in the mean Euclidean distance of ``rows``
+    embeddings to their ``center``: their distances' sum over ``rows``.
+
+    Summed over row blocks of all the embeddings, it is that mean.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
         raise EmptyBatchError("uniformity metric needs a non-empty batch")
-    center = z.mean(axis=0)
-    return float(np.linalg.norm(z - center[None, :], axis=1).mean())
+    return float(np.linalg.norm(z - center[None, :], axis=1).sum() / rows)
 
 
-def metric_gap(z_q: np.ndarray, g_center: np.ndarray) -> float:
-    """Euclidean distance between the query center and the gallery center
+def metric_gap(center: np.ndarray, g_center: np.ndarray) -> float:
+    """Euclidean distance between the query ``center`` and the gallery center
     ``g_center`` (``Gallery.center``)."""
-    z_q = np.asarray(z_q, dtype=np.float64)
+    center = np.asarray(center, dtype=np.float64)
     g_center = np.asarray(g_center, dtype=np.float64)
-    if g_center.shape != z_q.shape[1:]:
-        raise DimMismatchError("gallery center must be a vector of the query dim")
-    return float(np.linalg.norm(z_q.mean(axis=0) - g_center))
+    if center.ndim != 1 or g_center.shape != center.shape:
+        raise DimMismatchError("query and gallery centers must be vectors of one dim")
+    return float(np.linalg.norm(center - g_center))
 
 
-def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
-    """The ``(queries, dim)`` float64 sum of each query's relevant rows of ``z_g``.
+def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """``(sets, slot)``: the float64 sums of the distinct relevant sets of
+    ``truth``'s queries over the rows of ``z_g``, and each query's row of
+    ``sets``, so that ``sets[slot]`` is the sum of each query's relevant rows.
 
-    Queries with equal relevant sets share one sum. A set is a run of
-    sorted, unique ids, so two sets are equal exactly when their bytes are:
-    each distinct byte run gets a slot, in order of its first query. The
-    distinct sets are gathered once, in blocks of whole sets of at most
-    ``_SUM_BLOCK`` values; a set with more pairs than that is gathered
-    alone. Each set's rows are summed in order, so its sum does not depend
-    on which sets share its block: the sums of ``truth[a:b]`` are rows
-    a..b-1 of the sums of ``truth``, bit for bit.
+    A set is a run of sorted, unique ids, so two sets are equal exactly when
+    their bytes are: each distinct byte run gets a slot, in order of its
+    first query. The distinct sets are gathered once, in blocks of whole sets
+    of at most ``_SUM_BLOCK`` values; a set with more pairs than that is
+    gathered alone. Each set's rows are summed in order, so its sum does not
+    depend on which sets share its block: ``sets[slot]`` over ``truth[a:b]``
+    is rows a..b-1 of ``sets[slot]`` over ``truth``, bit for bit.
     """
     z_g = np.asarray(z_g, dtype=np.float64)
     indptr, ids = truth.indptr, truth.indices
@@ -302,10 +306,13 @@ def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
     index: dict = {}
     slot = np.array([index.setdefault(raw[a:b], len(index)) for a, b in zip(cuts[:-1], cuts[1:])],
                     dtype=np.int64)
+    # The id bytes and their cuts grow with the truth; the gather needs neither.
+    del raw, cuts, index
     own = np.zeros(len(truth), dtype=bool)
     own[np.unique(slot, return_index=True)[1]] = True
-    sub_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr)[own])))
-    sub_ids = ids[own[truth.row_ids()]]
+    counts = np.diff(indptr)
+    sub_ptr = np.concatenate(([0], np.cumsum(counts[own])))
+    sub_ids = ids[np.repeat(own, counts)]
 
     step = max(1, _SUM_BLOCK // z_g.shape[1])
     sets = np.empty((sub_ptr.size - 1, z_g.shape[1]))
@@ -318,22 +325,24 @@ def relevant_sums(z_g: np.ndarray, truth: GroundTruth) -> np.ndarray:
         rows = z_g.take(sub_ids[lo:hi], axis=0)
         sets[first:last] = np.add.reduceat(rows, sub_ptr[first:last] - lo, axis=0)
         first = last
-    return sets[slot]
+    return sets, slot
 
 
-def metric_consistency(z_q: np.ndarray, truth: GroundTruth, sums: np.ndarray) -> float:
-    """Mean cosine similarity over all correctly associated pairs.
+def metric_consistency(z_q: np.ndarray, sums: np.ndarray, pairs: int) -> float:
+    """The part of ``z_q``'s rows in the mean cosine similarity over ``pairs``
+    correctly associated pairs: ``vdot(z_q, sums) / pairs``, where ``sums``
+    holds the relevant-row sums of ``z_q``'s queries (``relevant_sums``), in
+    the shape of ``z_q``.
 
-    It is one dot product, ``vdot(z_q, sums) / pairs``, where ``sums`` is
-    ``relevant_sums(z_g, truth)`` of the gallery rows ``z_g``, in the shape
-    of ``z_q``.
+    Summed over row blocks of all the queries, with all their pairs, it is
+    that mean.
     """
-    if truth.indices.size == 0:
+    if pairs < 1:
         raise EmptyBatchError("no relevance pairs")
     z_q = np.asarray(z_q, dtype=np.float64)
     if np.shape(sums) != z_q.shape:
         raise DimMismatchError(f"sums of shape {np.shape(sums)} do not match queries {z_q.shape}")
-    return float(np.vdot(z_q, sums)) / truth.indices.size
+    return float(np.vdot(z_q, sums)) / pairs
 
 
 def first_hits(rankings: np.ndarray, truth: GroundTruth) -> np.ndarray:

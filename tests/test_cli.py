@@ -238,6 +238,15 @@ class TestGroundTruthFile:
         assert truth.indptr.tolist() == [0, 1, 3]
         assert truth.indices.tolist() == [2, 0, 3]
 
+    def test_sorted_file_with_a_duplicate_pair(self, tmp_path):
+        # Keys in order but not strictly increasing still collapse.
+        path = tmp_path / "gt.tsv"
+        for data in (b"0\t1\n0\t1\n1\t0\n1\t2\n", b"0\t1\n1\t0\n1\t2\n1\t2\n"):
+            path.write_bytes(data)
+            truth = read_ground_truth(path, 2, 3)
+            assert truth.indptr.tolist() == [0, 1, 3]
+            assert truth.indices.tolist() == [1, 0, 2]
+
     def test_empty_file_with_no_queries(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_text("\n \n", encoding="utf-8")
@@ -611,7 +620,8 @@ class TestCmdAdapt:
     def test_whole_stream_rankings_only_where_parameters_moved(self, monkeypatch, method):
         # 384 queries in batches of 16: each batch is ranked once as it
         # arrives. Only a method that steps ranks the whole stream, at the
-        # source and at the final parameters.
+        # source and at the final parameters, in blocks of 256 and 128 rows:
+        # each query once per parameter point.
         calls = []
 
         def counted(where, rank):
@@ -625,22 +635,25 @@ class TestCmdAdapt:
         cfg = config_dict(method=method, batch=16)
         cfg["synth"].update(gallery_size=128, stream_length=384)
         report = cmd_adapt(parse_config(cfg))
-        whole = [] if method == "none" else [("stream", 384)] * 2
-        assert sorted(calls) == [("batch", 16)] * 24 + whole
+        whole = [] if method == "none" else [("stream", 128), ("stream", 256)] * 2
+        assert sorted(calls) == [("batch", 16)] * 24 + sorted(whole)
         assert len(report["series"]["recall_1"]) == 24
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
     def test_each_relevance_pair_gathered_once(self, monkeypatch, method):
         # 384 queries in batches of 16. Nothing is gathered during the stream.
-        # After the last batch one relevant_sums call sums the relevant
-        # gallery rows of the whole truth, and one hit pass counts the online
-        # rankings of every batch. A method that steps adds one hit pass per
-        # whole-stream ranking.
-        calls = []
+        # After the last batch one hit pass per block of 256 and 128 queries
+        # counts the online rankings of their batches, and one relevant_sums
+        # call gathers each distinct relevant set of the whole truth once;
+        # every block and batch slices its rows from those sums. A method that
+        # steps adds one hit pass per block of each whole-stream ranking.
+        calls, gathered = [], []
 
         def sums(z_g, truth):
             calls.append(("sums", len(truth), truth.indices.size))
-            return relevant_sums(z_g, truth)
+            sets, slot = relevant_sums(z_g, truth)
+            gathered.append(len(sets))
+            return sets, slot
 
         def hits(rankings, truth):
             calls.append(("hits", len(truth)))
@@ -654,8 +667,10 @@ class TestCmdAdapt:
         parsed = parse_config(cfg)
         _, _, _, truth = cli._synthesize(parsed)
         cmd_adapt(parsed)
-        whole = [] if method == "none" else [("hits", 384)] * 2
-        assert calls == [("sums", 384, truth.indices.size), ("hits", 384)] + whole
+        blocks = [("hits", 256), ("hits", 128)]
+        whole = [] if method == "none" else blocks * 2
+        assert calls == blocks + [("sums", 384, truth.indices.size)] + whole
+        assert gathered == [len({tuple(rel) for rel in csr_rows(truth)})]
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
     def test_stream_loop_makes_only_session_calls(self, monkeypatch, method):
@@ -698,6 +713,40 @@ class TestCmdAdapt:
         assert report["series"]["recall_1"] == want
         whole = np.concatenate(hits)
         assert report["recall"] == {str(k): synth.recall_of_hits(whole, k) for k in (1, 5, 10)}
+
+    def test_report_memory_does_not_grow_with_the_stream(self, monkeypatch):
+        # rest at 4,096 and 16,384 queries. After the last batch returns, the
+        # report's passes are to raise the traced peak by at most a block's
+        # arrays plus one hit rank and one sum slot per query above what the
+        # stream then holds. Whole-stream (queries, dim) arrays rose 4.5 and
+        # 17.8 MB here; 256-query blocks rise 0.14 and 0.30 MB.
+        held = []
+
+        def session_call(fn):
+            def call(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                return result
+            return call
+
+        session = adapt.AdaptationSession
+        monkeypatch.setattr(session, "adapt_batch", session_call(session.adapt_batch))
+        for n in (4096, 16384):
+            cfg = config_dict(method="rest", batch=64, k=10, decouple=True)
+            cfg["synth"].update(classes=16, dim=32, gallery_size=128, stream_length=n,
+                                sigma_query=0.3, corruptions=[{"kind": "gaussian_noise",
+                                                               "sigma": 0.2}])
+            parsed = parse_config(cfg)
+            tracemalloc.start()
+            try:
+                cmd_adapt(parsed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(held) == n // 64
+            assert peak - held[-1] < 1.5 * 2**20, n
+            held.clear()
 
     def test_metrics_identity_equals_none_initial(self):
         cfg = parse_config(config_dict(method="none", batch=16))
@@ -853,7 +902,8 @@ class TestCmdGradcheckAndMetrics:
         truth = GroundTruth.from_sets(tuple(by_class[i % 64] for i in range(2048)))
         tracemalloc.start()
         try:
-            metrics = _stream_metrics(z, relevant_sums(gallery.items, truth), gallery, truth)
+            sums = relevant_sums(gallery.items, truth)
+            metrics = _stream_metrics(z.__getitem__, cli._blocks(2048), gallery, truth, sums)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -934,6 +984,17 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "synth", "--out", str(out), "--seed", "5"]) == 2
         assert "synth.seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["probe", "metrics"])
+    def test_unseeded_command_seed_flag_exit_two(self, tmp_path, capsys, command):
+        # probe and metrics build no centroids and draw nothing at random.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict()), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["--config", str(cfg_path), command, "--out", str(out), "--seed", "5"]) == 2
+        assert f"{command} takes no --seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["--config", str(cfg_path), command, "--out", str(out)]) == 0
 
     def test_failed_gradcheck_exit_four(self, tmp_path, monkeypatch):
         offset_analytic_gradients(monkeypatch)

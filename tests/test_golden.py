@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from queryshift import cli
 from queryshift.cli import _config_echo, cmd_adapt, cmd_metrics, cmd_probe, parse_config
 
 FIXTURE = Path(__file__).parent / "golden" / "adapt_reports.json"
@@ -168,6 +169,22 @@ def test_probe_fixture_covers_every_case(golden_probe):
 @pytest.mark.parametrize("case", PROBE_CASES)
 def test_probe_report_matches_golden(golden_probe, case):
     assert_matches(golden_probe_report(case), golden_probe[case])
+
+
+@pytest.mark.parametrize(
+    "case", ["rest-diverse-dec", "tent-mean_shift-nodec", "none-collapse-nodec", "probe-diverse"]
+)
+def test_report_independent_of_report_block(monkeypatch, case):
+    """Reports built in report blocks of 1, 7, the batch size (32) and more
+    than the stream (150 queries) match the one-block report: every series
+    row bit for bit, recalls exactly, other floats under the golden rules."""
+    report = golden_probe_report if case.startswith("probe") else golden_report
+    want = report(case)
+    for block in (1, 7, 32, 151):
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+        got = report(case)
+        assert got.get("series") == want.get("series"), block
+        assert_matches(got, want, f"block {block}")
 
 
 def test_config_echo_parses_back(golden, golden_probe):

@@ -375,11 +375,11 @@ class TestTotalLossAndGrad:
         state = forward_state(gamma, beta, raw, pool_of([z[:1], z[1:]]), 0.5)
         val, dz = _uniformity_grad(state.z)
         g = param_grad(state, dz)
-        before = metric_uniformity(state.z)
+        before = metric_uniformity(state.z, state.z.mean(axis=0), 2)
         gamma2 = gamma - 0.05 * g[:d]
         beta2 = beta - 0.05 * g[d:]
         _, z2 = affine_normalize(gamma2, beta2, raw)
-        assert metric_uniformity(z2) > before
+        assert metric_uniformity(z2, z2.mean(axis=0), 2) > before
 
     def test_all_filtered_no_numerical_faults(self):
         state, _, _, _ = make_instance(seed=13)

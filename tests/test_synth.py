@@ -45,9 +45,25 @@ def consistency_by_pairs(z_q, z_g, truth):
     return total / count
 
 
+def sums_of(z_g, truth):
+    """Each query's relevant-row sum of ``z_g``, one row per query."""
+    sets, slot = relevant_sums(z_g, truth)
+    return sets[slot]
+
+
 def consistency(z_q, z_g, truth):
-    """metric_consistency of ``z_q`` against the relevant sums of ``z_g``."""
-    return metric_consistency(z_q, truth, relevant_sums(z_g, truth))
+    """metric_consistency of all of ``z_q`` against the relevant sums of ``z_g``."""
+    return metric_consistency(z_q, sums_of(z_g, truth), truth.indices.size)
+
+
+def uniformity(z):
+    """metric_uniformity of all of ``z``."""
+    return metric_uniformity(z, z.mean(axis=0), len(z))
+
+
+def gap(z, g_center):
+    """metric_gap of the center of ``z``."""
+    return metric_gap(z.mean(axis=0), g_center)
 
 
 def count_hits_by_sets(rankings, relevant, k):
@@ -251,20 +267,20 @@ class TestApplyCorruption:
 
     def test_mean_shift_widens_gap(self):
         ident = AdapterParams.identity(self.gallery.dim)
-        gap_before = metric_gap(forward_adapter(ident, self.stream), self.gallery.center)
+        gap_before = gap(forward_adapter(ident, self.stream), self.gallery.center)
         shifted = corrupt_stream(
             self.stream, [CorruptionSpec(kind="mean_shift", delta=0.5, domain=0)], 0
         )
-        gap_after = metric_gap(forward_adapter(ident, shifted), self.gallery.center)
+        gap_after = gap(forward_adapter(ident, shifted), self.gallery.center)
         assert gap_after > gap_before
 
     def test_collapse_reduces_uniformity(self):
         ident = AdapterParams.identity(self.gallery.dim)
-        u_before = metric_uniformity(forward_adapter(ident, self.stream))
+        u_before = uniformity(forward_adapter(ident, self.stream))
         collapsed = corrupt_stream(
             self.stream, [CorruptionSpec(kind="uniformity_collapse", rho=0.8)], 0
         )
-        u_after = metric_uniformity(forward_adapter(ident, collapsed))
+        u_after = uniformity(forward_adapter(ident, collapsed))
         assert u_after < u_before
 
     def test_compose_applies_in_order(self):
@@ -336,7 +352,7 @@ class TestProbes:
         np.testing.assert_allclose(tiny, np.tile(expected, (12, 1)), atol=1e-6)
 
     def test_scale_up_increases_uniformity(self):
-        assert metric_uniformity(scale_queries(self.z, 2.0)) > metric_uniformity(self.z)
+        assert uniformity(scale_queries(self.z, 2.0)) > uniformity(self.z)
 
     def test_offset_identity_is_exact(self):
         gallery_mean = np.zeros(6)
@@ -384,8 +400,8 @@ class TestProbes:
         )
         z_clean = forward_adapter(ident, stream)
         z = forward_adapter(ident, corrupted)
-        gap_clean = metric_gap(z_clean, gallery.center)
-        gap_corrupt = metric_gap(z, gallery.center)
+        gap_clean = gap(z_clean, gallery.center)
+        gap_corrupt = gap(z, gallery.center)
         lam_star = 1.0 - gap_clean / gap_corrupt
         gmean = gallery.items.mean(axis=0)
         r_zero = recall_at_k(rank(z, gallery), truth, 1)
@@ -395,37 +411,41 @@ class TestProbes:
 
 class TestMetrics:
     def test_uniformity_singleton_zero(self):
-        assert metric_uniformity(np.array([[1.0, 0.0]])) == 0.0
+        assert uniformity(np.array([[1.0, 0.0]])) == 0.0
 
     def test_uniformity_antipodal_pair(self):
         z = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert metric_uniformity(z) == pytest.approx(1.0)
+        assert uniformity(z) == pytest.approx(1.0)
 
     def test_uniformity_permutation_invariant(self):
         rng = np.random.default_rng(9)
         z = l2_normalize_rows(rng.standard_normal((10, 5)))
         perm = rng.permutation(10)
-        assert metric_uniformity(z) == pytest.approx(metric_uniformity(z[perm]), abs=1e-12)
+        assert uniformity(z) == pytest.approx(uniformity(z[perm]), abs=1e-12)
+        # The parts of row blocks add up to the whole.
+        center = z.mean(axis=0)
+        parts = metric_uniformity(z[:4], center, 10) + metric_uniformity(z[4:], center, 10)
+        assert parts == pytest.approx(uniformity(z), rel=1e-14)
 
     def test_uniformity_empty_raises(self):
         with pytest.raises(EmptyBatchError):
-            metric_uniformity(np.empty((0, 4)))
+            metric_uniformity(np.empty((0, 4)), np.zeros(4), 1)
 
     def test_gap_identical_zero(self):
         z = l2_normalize_rows(np.random.default_rng(10).standard_normal((6, 4)))
-        assert metric_gap(z, z.mean(axis=0)) == pytest.approx(0.0, abs=1e-12)
+        assert gap(z, z.mean(axis=0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_singletons(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        assert metric_gap(a, b.mean(axis=0)) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert gap(a, b.mean(axis=0)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_gap_symmetric(self):
         rng = np.random.default_rng(11)
         a = l2_normalize_rows(rng.standard_normal((5, 4)))
         b = l2_normalize_rows(rng.standard_normal((7, 4)))
-        gap_ab = metric_gap(a, b.mean(axis=0))
-        assert gap_ab == pytest.approx(metric_gap(b, a.mean(axis=0)), abs=1e-12)
+        gap_ab = gap(a, b.mean(axis=0))
+        assert gap_ab == pytest.approx(gap(b, a.mean(axis=0)), abs=1e-12)
 
     def test_gap_to_gallery_center_is_bit_identical(self):
         rng = np.random.default_rng(14)
@@ -433,15 +453,15 @@ class TestMetrics:
         z = l2_normalize_rows(rng.standard_normal((9, 6)))
         # The old metric_gap took the gallery rows and averaged them per call.
         old = float(np.linalg.norm(z.mean(axis=0) - g.items.mean(axis=0)))
-        assert metric_gap(z, g.center) == old
+        assert gap(z, g.center) == old
         with pytest.raises(DimMismatchError):
-            metric_gap(np.ones((2, 3)), np.ones(4))
+            metric_gap(np.ones(3), np.ones(4))
         with pytest.raises(DimMismatchError):
             metric_gap(np.ones((3, 3)), np.ones((3, 3)))
 
     def test_gap_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
-            metric_gap(np.ones((2, 3)), np.ones((2, 4)))
+            metric_gap(np.ones(3), np.ones((2, 4)))
 
     def test_consistency_perfect(self):
         z = np.eye(3)
@@ -489,26 +509,29 @@ class TestMetrics:
         # built with.
         for block in (1 << 20, 4, 12, 40, 1):
             monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
-            whole = relevant_sums(z_g, truth)
+            whole = sums_of(z_g, truth)
             np.testing.assert_allclose(whole, want, rtol=0, atol=1e-12)
-            pieces = [relevant_sums(z_g, truth[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+            pieces = [sums_of(z_g, truth[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.array_equal(np.concatenate(pieces), whole)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 part = truth[a:b]
                 assert consistency(z_q[a:b], z_g, part) == pytest.approx(
                     consistency_by_pairs(z_q[a:b], z_g, part), rel=1e-12)
-        assert relevant_sums(z_g, truth[5:5]).shape == (0, 4)
+        assert sums_of(z_g, truth[5:5]).shape == (0, 4)
 
     def test_consistency_reads_given_sums(self):
         rng = np.random.default_rng(15)
         z_q = l2_normalize_rows(rng.standard_normal((5, 3)))
         z_g = l2_normalize_rows(rng.standard_normal((7, 3)))
         truth = GroundTruth.from_sets(({0, 1}, {2}, {3, 4, 5}, {6}, {0, 6}))
-        sums = relevant_sums(z_g, truth)
-        assert metric_consistency(z_q, truth, sums) == pytest.approx(
+        sums, pairs = sums_of(z_g, truth), truth.indices.size
+        assert metric_consistency(z_q, sums, pairs) == pytest.approx(
             consistency_by_pairs(z_q, z_g, truth), rel=1e-12)
-        assert metric_consistency(z_q, truth, 2 * sums) == pytest.approx(
-            2 * metric_consistency(z_q, truth, sums), rel=1e-14)
+        assert metric_consistency(z_q, 2 * sums, pairs) == pytest.approx(
+            2 * metric_consistency(z_q, sums, pairs), rel=1e-14)
+        # The parts of row blocks add up to the whole.
+        parts = [metric_consistency(z_q[a:b], sums[a:b], pairs) for a, b in ((0, 2), (2, 5))]
+        assert sum(parts) == pytest.approx(metric_consistency(z_q, sums, pairs), rel=1e-14)
 
     def test_relevant_sums_share_equal_sets(self, monkeypatch):
         # Each query's sum equals the sum of its own one-query slice, bit for
@@ -528,25 +551,25 @@ class TestMetrics:
         distinct = [[i] for i in range(30)] + [[i, i + 1] for i in range(29)]
         truths.append(GroundTruth.from_sets(distinct[i] for i in rng.permutation(len(distinct))))
         for truth in truths:
-            want = np.concatenate([relevant_sums(z_g, truth[q : q + 1]) for q in range(len(truth))])
+            want = np.concatenate([sums_of(z_g, truth[q : q + 1]) for q in range(len(truth))])
             for block in (1 << 20, 7):
                 monkeypatch.setattr(synth_mod, "_SUM_BLOCK", block)
-                assert np.array_equal(relevant_sums(z_g, truth), want)
+                assert np.array_equal(sums_of(z_g, truth), want)
 
     def test_consistency_rejects_sums_of_another_shape(self):
         rng = np.random.default_rng(17)
         z_g = l2_normalize_rows(rng.standard_normal((9, 32)))
         truth = GroundTruth.from_sets([q % 9] for q in range(16))
         z_q = l2_normalize_rows(rng.standard_normal((16, 32)))
-        sums = relevant_sums(z_g, truth)
+        sums, pairs = sums_of(z_g, truth), truth.indices.size
         # The same number of values in another shape used to be read flat.
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q, truth, sums.reshape(8, 64))
+            metric_consistency(z_q, sums.reshape(8, 64), pairs)
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q, truth, sums[:8])
+            metric_consistency(z_q, sums[:8], pairs)
         with pytest.raises(DimMismatchError):
-            metric_consistency(z_q[:, :16], truth, sums)
-        assert metric_consistency(z_q, truth, sums) == pytest.approx(
+            metric_consistency(z_q[:, :16], sums, pairs)
+        assert metric_consistency(z_q, sums, pairs) == pytest.approx(
             consistency_by_pairs(z_q, z_g, truth), rel=1e-12)
 
     def test_consistency_empty_pairs(self):
