@@ -13,13 +13,13 @@ as a diverging adapter), 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
 import struct
 import sys
 import time
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -412,60 +412,59 @@ def cmd_synth(cfg: RunConfig, out_dir) -> dict:
 def cmd_adapt(cfg: RunConfig) -> dict:
     """Stream the queries through the configured method and report everything.
 
-    The loop only runs the session and keeps what each batch returns; each
-    batch's rankings on arrival are the online result. After the stream,
-    blocks of ``_ROW_BLOCK`` queries take one first-hit pass over those
-    rankings (the report's recall, and ``none``'s ``initial`` and ``final``,
-    which it never leaves), each batch's metrics row reads its kept record,
-    and ``initial`` and ``final`` embed and rank the stream block by block.
-    Every row is one ``_stream_metrics`` call, and each record is released
-    once it has been read, so what the report adds to the stream's memory
-    does not grow with its length.
+    Each batch's rankings on arrival are the online result. The loop holds
+    what the batch calls return until they cover a block of ``_ROW_BLOCK``
+    queries or the stream ends. Then one first-hit pass over the block's
+    rankings gives its ranks (the report's recall, and ``none``'s ``initial``
+    and ``final``, which it never leaves), one ``_stream_metrics`` call per
+    batch gives its metrics row from its own record, and the records are
+    released, so what the stream holds between batches does not grow with
+    its length. After the stream, ``initial`` and ``final`` embed and rank
+    the stream block by block.
     """
     def body(gallery, stream, truth):
         session = AdaptationSession(gallery, cfg)
-        # Until the stream ends only the session runs. Each z and diagnostics
-        # record is kept as returned; whole-truth sums, numpy copies of the
-        # rankings or one flat list of their rows built meanwhile raised the
-        # batch calls' minor page faults on 4,096 queries. So the rankings are
-        # kept per batch as Python ints, in the interpreter's arenas: ~300-450 B
-        # a query against 80 B as int64, growing with the stream's length.
-        batches, ranked = [], []
-        for start in range(0, stream.shape[0], cfg.batch):
-            raw = stream[start : start + cfg.batch]
-            if cfg.method == "rest":
-                result = session.adapt_batch(raw)
-            else:
-                result = session.run_baseline(raw, cfg.method)
-            batches.append((result.z, result.diagnostics))
-            ranked.append(result.rankings.tolist())
-
-        cuts, rows, hits = _blocks(stream.shape[0]), chain.from_iterable(ranked), []
-        for cut in cuts:
-            top = list(islice(rows, _ROW_BLOCK))
-            ranks = np.fromiter(chain.from_iterable(top), np.int64).reshape(len(top), -1)
-            hits.append(first_hits(ranks, truth[cut]))
-        hits = np.concatenate(hits)
-        del ranked, rows, top
         sums = relevant_sums(gallery.items, truth)
         sets, slot = sums
-        series: dict = {}
-        for i, a in enumerate(range(0, stream.shape[0], cfg.batch)):
-            z, diag = batches[i]
-            batches[i] = None
-            cut = slice(a, a + cfg.batch)
-            # A batch is one block, so its row does not depend on _ROW_BLOCK.
-            row = vars(diag) | _stream_metrics(z.__getitem__, [slice(0, len(z))], gallery,
-                                               truth[cut], (sets, slot[cut]), hits[cut])
-            row["recall_1"] = row.pop("recall")["1"]
-            for key, value in row.items():
-                series.setdefault(key, []).append(value)
-        kept = hits if cfg.method == "none" else None
-        initial, final = (
-            _stream_metrics(lambda cut: forward_adapter(params, stream[cut]), cuts, gallery,
-                            truth, sums, kept)
-            for params in (session.source_params, session.params)
-        )
+        n, series, hits, held, start = stream.shape[0], {}, [], [], 0
+        for a in range(0, n, cfg.batch):
+            raw = stream[a : a + cfg.batch]
+            if cfg.method == "rest":
+                held.append(session.adapt_batch(raw))
+            else:
+                held.append(session.run_baseline(raw, cfg.method))
+            end = a + len(raw)
+            # Batch records kept to the stream's end page-faulted the batch
+            # calls; a report pass after each batch slowed short batches.
+            if end - start < _ROW_BLOCK and end < n:
+                continue
+            ranks = first_hits(np.concatenate([result.rankings for result in held]),
+                               truth[start:end])
+            hits.append(ranks)
+            for result in held:
+                b = len(result.z)
+                cut = slice(start, start + b)
+                # A batch is one block, so its row does not depend on _ROW_BLOCK.
+                row = vars(result.diagnostics) | _stream_metrics(
+                    result.z.__getitem__, [slice(0, b)], gallery, truth[cut],
+                    (sets, slot[cut]), ranks[:b])
+                row["recall_1"] = row.pop("recall")["1"]
+                for key, value in row.items():
+                    series.setdefault(key, []).append(value)
+                ranks, start = ranks[b:], cut.stop
+            held.clear()
+        hits = np.concatenate(hits)
+
+        def scored(params, kept=None):
+            return _stream_metrics(lambda cut: forward_adapter(params, stream[cut]), _blocks(n),
+                                   gallery, truth, sums, kept)
+
+        if cfg.method == "none":
+            # Its parameters never leave the source: one pass serves both rows.
+            initial = scored(session.source_params, hits)
+            final = copy.deepcopy(initial)
+        else:
+            initial, final = scored(session.source_params), scored(session.params)
         if cfg.method == "rest":
             final.update(delta_s=series["delta_s"][-1], e_b=series["e_b"][-1])
         return {"recall": _recall(hits), "initial": initial, "final": final, "series": series}

@@ -591,6 +591,40 @@ class TestCmdSynth:
         assert not np.array_equal(q, c)
 
 
+@pytest.fixture(scope="module")
+def rest_stream_memory():
+    """{queries: (traced memory held as each batch call returns, traced peak
+    after the last one)} of ``rest`` runs at 4,096 and 16,384 queries: 16
+    classes, dim 32, 128 items, batch 64."""
+    runs, held = {}, []
+    session = adapt.AdaptationSession
+    batch_call = session.adapt_batch
+
+    def call(*args, **kwargs):
+        result = batch_call(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(session, "adapt_batch", call)
+        for n in (4096, 16384):
+            cfg = config_dict(method="rest", batch=64, k=10, decouple=True)
+            cfg["synth"].update(classes=16, dim=32, gallery_size=128, stream_length=n,
+                                sigma_query=0.3, corruptions=[{"kind": "gaussian_noise",
+                                                               "sigma": 0.2}])
+            parsed = parse_config(cfg)
+            tracemalloc.start()
+            try:
+                cmd_adapt(parsed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            runs[n] = (held.copy(), peak)
+            held.clear()
+    return runs
+
+
 class TestCmdAdapt:
     def test_none_matches_zero_shot_metrics(self):
         report = cmd_adapt(parse_config(config_dict(method="none")))
@@ -607,11 +641,19 @@ class TestCmdAdapt:
             calls.append(1)
             return rank(*args)
 
+        metrics, whole = cli._stream_metrics, []
+
+        def stream_metrics(embed, cuts, gallery, truth, *args):
+            whole.append(len(truth) == 48)
+            return metrics(embed, cuts, gallery, truth, *args)
+
         monkeypatch.setattr(adapt, "build_centroids", refuse)
         monkeypatch.setattr(cli, "knn_table", counted)
+        monkeypatch.setattr(cli, "_stream_metrics", stream_metrics)
         report = cmd_adapt(parse_config(config_dict(method="none")))
-        # initial and final both read the batches' kept ranks.
+        # initial and final are one whole-stream pass over the batches' kept ranks.
         assert calls == []
+        assert whole.count(True) == 1
         assert report["final"] == report["initial"]
         assert report["final"] is not report["initial"]
         assert report["final"]["recall"] is not report["initial"]["recall"]
@@ -641,11 +683,10 @@ class TestCmdAdapt:
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
     def test_each_relevance_pair_gathered_once(self, monkeypatch, method):
-        # 384 queries in batches of 16. Nothing is gathered during the stream.
-        # After the last batch one hit pass per block of 256 and 128 queries
-        # counts the online rankings of their batches, and one relevant_sums
-        # call gathers each distinct relevant set of the whole truth once;
-        # every block and batch slices its rows from those sums. A method that
+        # 384 queries in batches of 16. One relevant_sums call gathers each
+        # distinct relevant set of the whole truth once; every block and batch
+        # slices its rows from those sums. One hit pass per block of 256 and
+        # 128 queries counts the online rankings of its batches. A method that
         # steps adds one hit pass per block of each whole-stream ranking.
         calls, gathered = [], []
 
@@ -669,14 +710,17 @@ class TestCmdAdapt:
         cmd_adapt(parsed)
         blocks = [("hits", 256), ("hits", 128)]
         whole = [] if method == "none" else blocks * 2
-        assert calls == blocks + [("sums", 384, truth.indices.size)] + whole
+        assert calls == [("sums", 384, truth.indices.size)] + blocks + whole
         assert gathered == [len({tuple(rel) for rel in csr_rows(truth)})]
 
     @pytest.mark.parametrize("method", ["none", "rest", "tent", "pl"])
-    def test_stream_loop_makes_only_session_calls(self, monkeypatch, method):
-        # 100 queries in batches of 16, the last one short. Every report call
-        # comes after the last batch returns, and each batch's recall reads
-        # the ranks its own rankings got on arrival.
+    def test_each_block_is_reported_before_the_next_batch(self, monkeypatch, method):
+        # 100 queries in batches of 16, the last one short, in report blocks
+        # of 40. The relevance sums come before the first batch. The batches
+        # that fill a block (48, 48 and the last 4 queries) get one hit pass
+        # and one metrics row each after the batch that fills it and before
+        # the next batch call. Each batch's recall reads the ranks its own
+        # rankings got on arrival.
         calls, online = [], []
 
         def session_call(fn):
@@ -699,54 +743,42 @@ class TestCmdAdapt:
             monkeypatch.setattr(session, name, session_call(getattr(session, name)))
         for name in ("first_hits", "relevant_sums", "_stream_metrics"):
             monkeypatch.setattr(cli, name, report_call(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 40)
         cfg = config_dict(method=method, batch=16)
         cfg["synth"].update(stream_length=100)
         parsed = parse_config(cfg)
         _, _, _, truth = cli._synthesize(parsed)
         report = cmd_adapt(parsed)
 
-        last = len(calls) - calls[::-1].index("returned")
-        assert calls[:last] == ["batch", "returned"] * 7
-        assert {"first_hits", "relevant_sums", "_stream_metrics"} <= set(calls[last:])
+        batch, flush = ["batch", "returned"], ["first_hits"] + ["_stream_metrics"] * 3
+        loop = ["relevant_sums"] + (batch * 3 + flush) * 2 + batch + flush[:2]
+        # initial and final rank the stream in blocks of 40, 40 and 20.
+        after = ["_stream_metrics"] + ["first_hits"] * 3
+        assert calls == loop + (after[:1] if method == "none" else after * 2)
         hits = [first_hits(r, truth[a : a + 16]) for a, r in zip(range(0, 100, 16), online)]
         want = [synth.recall_of_hits(h, 1) for h in hits]
         assert report["series"]["recall_1"] == want
         whole = np.concatenate(hits)
         assert report["recall"] == {str(k): synth.recall_of_hits(whole, k) for k in (1, 5, 10)}
 
-    def test_report_memory_does_not_grow_with_the_stream(self, monkeypatch):
-        # rest at 4,096 and 16,384 queries. After the last batch returns, the
-        # report's passes are to raise the traced peak by at most a block's
-        # arrays plus one hit rank and one sum slot per query above what the
-        # stream then holds. Whole-stream (queries, dim) arrays rose 4.5 and
-        # 17.8 MB here; 256-query blocks rise 0.14 and 0.30 MB.
-        held = []
-
-        def session_call(fn):
-            def call(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                held.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
-                return result
-            return call
-
-        session = adapt.AdaptationSession
-        monkeypatch.setattr(session, "adapt_batch", session_call(session.adapt_batch))
-        for n in (4096, 16384):
-            cfg = config_dict(method="rest", batch=64, k=10, decouple=True)
-            cfg["synth"].update(classes=16, dim=32, gallery_size=128, stream_length=n,
-                                sigma_query=0.3, corruptions=[{"kind": "gaussian_noise",
-                                                               "sigma": 0.2}])
-            parsed = parse_config(cfg)
-            tracemalloc.start()
-            try:
-                cmd_adapt(parsed)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+    def test_held_memory_does_not_grow_with_the_stream(self, rest_stream_memory):
+        # What the loop holds between batches: at most one block's batch
+        # records, plus one hit rank per query and the series. Keeping every
+        # batch's embeddings and rankings until the stream ended rose 1.6 and
+        # 6.4 MB from the first batch to the last; 256-query blocks rise 0.16
+        # and 0.36 MB.
+        for n, (held, _) in rest_stream_memory.items():
             assert len(held) == n // 64
+            assert held[-1] - held[0] < 2**20, n
+
+    def test_report_memory_does_not_grow_with_the_stream(self, rest_stream_memory):
+        # After the last batch returns, its block's reduction and the report's
+        # passes are to raise the traced peak by at most a block's arrays plus
+        # one hit rank per query above what the stream then holds.
+        # Whole-stream (queries, dim) arrays rose 4.5 and 17.8 MB here;
+        # 256-query blocks rise 0.47 and 0.58 MB.
+        for n, (held, peak) in rest_stream_memory.items():
             assert peak - held[-1] < 1.5 * 2**20, n
-            held.clear()
 
     def test_metrics_identity_equals_none_initial(self):
         cfg = parse_config(config_dict(method="none", batch=16))
