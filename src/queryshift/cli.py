@@ -126,14 +126,16 @@ def read_ground_truth(path, num_queries: int, gallery_size: int) -> GroundTruth:
         pairs = _pairs_by_line(path, text, num_queries, gallery_size)
     keys = pairs[:, 0] * gallery_size + pairs[:, 1]
     # write_ground_truth writes each pair once, in order: such keys need no sort.
-    if not (keys[1:] > keys[:-1]).all():
+    if (keys[1:] > keys[:-1]).all():
+        rows, ids = pairs[:, 0], pairs[:, 1]
+    else:
         keys = np.sort(keys)
-        keys = keys[np.diff(keys, prepend=-1) > 0]
-    counts = np.bincount(keys // gallery_size, minlength=num_queries)
+        rows, ids = np.divmod(keys[np.diff(keys, prepend=-1) > 0], gallery_size)
+    counts = np.bincount(rows, minlength=num_queries)
     if not counts.all():
         raise BadInputError(f"{path}: query {int(np.argmin(counts))} has no relevant items")
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    return GroundTruth(indptr=indptr, indices=keys % gallery_size)
+    return GroundTruth(indptr=indptr, indices=ids)
 
 
 def _tab_pairs(data: bytes) -> np.ndarray | None:
@@ -146,11 +148,9 @@ def _tab_pairs(data: bytes) -> np.ndarray | None:
     seps = data.translate(None, b"0123456789")
     if not data.endswith(b"\n") or seps != b"\t\n" * (len(seps) // 2):
         return None
-    # A field is empty where the file opens with a separator or one follows another.
-    is_sep = np.frombuffer(data, dtype=np.uint8) < ord("0")
-    if is_sep[0] or (is_sep[1:] & is_sep[:-1]).any():
-        return None
-    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    # Separators alternate, so an empty field leaves fewer numbers than separators.
+    pairs = np.fromstring(data, dtype=np.int64, sep=" ")
+    return pairs.reshape(-1, 2) if pairs.size == len(seps) else None
 
 
 def _pairs_by_line(path, text: str, num_queries: int, gallery_size: int) -> np.ndarray:
@@ -321,14 +321,14 @@ def _load_inputs(cfg: RunConfig):
         raise BadInputError(f"{cfg.paths.queries}: no query rows")
     if g_arr.shape[1] != stream.shape[1]:
         raise BadInputError("gallery and query dims differ")
-    # float32 storage perturbs unit norms; re-normalize in float64. Each
-    # gallery-sized array goes once the next exists: two are held at most.
+    # float32 storage perturbs unit norms; re-normalize in float64, in place.
+    # The Gallery adopts the read-only result: one gallery-sized array is held.
     try:
-        g_arr = l2_normalize_rows(g_arr)
+        l2_normalize_rows(g_arr, out=g_arr)
+        g_arr.flags.writeable = False
         gallery = Gallery(g_arr)
     except (QueryShiftError, ValueError) as exc:
         raise BadInputError(f"bad gallery file: {exc}") from exc
-    del g_arr
     truth = read_ground_truth(cfg.paths.ground_truth, stream.shape[0], gallery.size)
     return gallery, stream, truth
 

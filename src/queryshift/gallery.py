@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, InvalidKError
-from .vectors import EPS_NORM
+from .vectors import EPS_NORM, row_norms
 
 # Tolerance on the unit-norm invariant of stored rows.
 NORM_TOL = 1e-6
@@ -60,15 +60,20 @@ class Gallery:
     items: np.ndarray
 
     def __post_init__(self):
-        items = np.asarray(self.items, dtype=np.float64)
+        items = self.items
+        # A read-only float64 array that owns its data cannot change under the
+        # gallery, so it is adopted; any other input is copied.
+        if not (isinstance(items, np.ndarray) and items.dtype == np.float64
+                and items.flags.c_contiguous and items.flags.owndata
+                and not items.flags.writeable):
+            items = _frozen_copy(items)
         if items.ndim != 2 or items.shape[0] < 1:
             raise ValueError("gallery must be a non-empty 2-D array")
         if not np.all(np.isfinite(items)):
             raise ValueError("gallery contains non-finite entries")
-        norms = np.linalg.norm(items, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_TOL):
+        if np.any(np.abs(row_norms(items) - 1.0) > NORM_TOL):
             raise ValueError("gallery rows must be unit-norm")
-        object.__setattr__(self, "items", _frozen_copy(items))
+        object.__setattr__(self, "items", items)
 
     @property
     def size(self) -> int:

@@ -12,7 +12,6 @@ artifact is bit-reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,13 +127,6 @@ class GroundTruth:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def from_sets(cls, relevant) -> "GroundTruth":
-        """Ground truth from one iterable of gallery ids per query."""
-        rows = [sorted(set(r)) for r in relevant]
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        return cls(indptr=indptr, indices=list(itertools.chain.from_iterable(rows)))
-
     def __len__(self) -> int:
         return self.indptr.size - 1
 
@@ -183,8 +175,14 @@ def generate_benchmark(spec: SyntheticSpec):
         (spec.stream_length, spec.dim)
     )
 
-    members = [np.flatnonzero(g_classes == c).tolist() for c in range(spec.classes)]
-    truth = GroundTruth.from_sets(members[c] for c in q_classes)
+    # Each query's ids are its class's run of the class-sorted gallery ids.
+    members = np.argsort(g_classes, kind="stable")
+    sizes = np.bincount(g_classes)
+    lengths = sizes[q_classes]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    starts = (np.cumsum(sizes) - sizes)[q_classes]
+    runs = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    truth = GroundTruth(indptr=indptr, indices=members[runs])
     return gallery, stream, truth
 
 

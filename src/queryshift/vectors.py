@@ -15,10 +15,22 @@ EPS_NORM = 1e-12
 # Probabilities are clamped here before any log; low temperatures produce
 # underflow-scale entries.
 EPS_PROB = 1e-12
+# Rows per block of row_norms: 4,096 rows of dim 32 are a 1 MB temporary.
+_NORM_BLOCK = 4096
 
 
-def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D array.
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` of a 2-D float64 array, bit for bit, with
+    one row block of squares alive at a time instead of an array-sized one."""
+    out = np.empty(a.shape[0])
+    for s in range(0, a.shape[0], _NORM_BLOCK):
+        blk = a[s : s + _NORM_BLOCK]
+        np.sqrt(np.add.reduce(blk * blk, axis=1), out=out[s : s + _NORM_BLOCK])
+    return out
+
+
+def l2_normalize_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise unit normalization of a 2-D array, written to ``out`` if given.
 
     Raises DivergenceError on a non-finite row norm (a non-finite entry, or
     an overflow: dividing by it would give a zero row).
@@ -26,12 +38,12 @@ def l2_normalize_rows(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     # An overflow is caught by the finiteness check below.
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=1)
+        norms = row_norms(a)
     if not np.all(np.isfinite(norms)):
         raise DivergenceError("a row has a non-finite norm")
     if np.any(norms <= EPS_NORM):
         raise ZeroVectorError("batch contains a row with near-zero norm")
-    return a / norms[:, None]
+    return np.divide(a, norms[:, None], out=out)
 
 
 def softmax_temp(scores: np.ndarray, tau: float) -> np.ndarray:

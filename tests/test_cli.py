@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csr import csr_rows
+from csr import csr_rows, from_sets
 from queryshift import adapt, cli, losses, synth
 from queryshift.cli import (
     _config_echo,
@@ -32,7 +32,6 @@ from queryshift.gallery import Gallery
 from queryshift.synth import (
     CORRUPTION_FIELDS,
     CorruptionSpec,
-    GroundTruth,
     SyntheticSpec,
     first_hits,
     relevant_sums,
@@ -212,7 +211,7 @@ class TestGroundTruthFile:
 
     def test_tab_files_parse_without_the_line_loop(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(31)
-        truth = GroundTruth.from_sets(
+        truth = from_sets(
             frozenset(rng.choice(50, int(rng.integers(1, 6)), replace=False).tolist())
             for _ in range(20)
         )
@@ -258,6 +257,7 @@ class TestGroundTruthFile:
             ("0\t1\t2", "expected two tab-separated fields"),
             ("0 1", "expected two tab-separated fields"),
             ("0\t", "non-integer index"),
+            ("\t1", "non-integer index"),
             ("0\tx", "non-integer index"),
             ("0\t1.0", "non-integer index"),
             ("5\t1", "query index 5 out of range"),
@@ -317,7 +317,7 @@ class TestGroundTruthFile:
             read_ground_truth(path, 1, 4)
 
     def test_round_trip(self, tmp_path):
-        truth = GroundTruth.from_sets((frozenset({1, 3}), frozenset({0})))
+        truth = from_sets((frozenset({1, 3}), frozenset({0})))
         path = tmp_path / "gt.tsv"
         write_ground_truth(path, truth)
         back = read_ground_truth(path, 2, 4)
@@ -822,17 +822,17 @@ class TestCmdAdapt:
         report = cmd_adapt(cfg)
         assert report["recall"]["1"] >= 0.9
 
-    def test_load_holds_two_gallery_copies(self, tmp_path):
-        # The file's float64 rows, their normalized copy and the Gallery's
-        # own copy would be three gallery-sized arrays at once; the raw rows
-        # must go before the Gallery copies the normalized ones.
+    def test_load_holds_file_bytes_and_one_gallery_array(self, tmp_path):
+        # The file's float32 bytes beside its float64 rows are 1.5 gallery
+        # arrays; the rows are normalized in place and the Gallery adopts
+        # them, so no second gallery-sized array may appear (one reads 2.07).
         rng = np.random.default_rng(40)
         items = rng.standard_normal((8192, 32))
         paths = {name: tmp_path / name for name in ("gallery", "queries", "ground_truth")}
         write_emb1(paths["gallery"], items)
         write_emb1(paths["queries"], rng.standard_normal((16, 32)))
         write_ground_truth(
-            paths["ground_truth"], GroundTruth.from_sets(frozenset({i}) for i in range(16))
+            paths["ground_truth"], from_sets(frozenset({i}) for i in range(16))
         )
         cfg = parse_config({"method": "none", "paths": {k: str(v) for k, v in paths.items()}})
         tracemalloc.start()
@@ -841,8 +841,10 @@ class TestCmdAdapt:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gallery.size == 8192
-        assert peak < 2.5 * items.nbytes
+        assert peak < 1.75 * items.nbytes
+        expected = Gallery(l2_normalize_rows(read_embeddings(paths["gallery"])))
+        assert gallery.items.tobytes() == expected.items.tobytes()
+        assert not gallery.items.flags.writeable
 
     def test_diverse_stream_end_to_end(self):
         # Per-query corruption draws from three domains, decoupling active by
@@ -931,7 +933,7 @@ class TestCmdGradcheckAndMetrics:
         gallery = Gallery(l2_normalize_rows(rng.standard_normal((8192, 32))))
         z = l2_normalize_rows(rng.standard_normal((2048, 32)))
         by_class = [frozenset(range(c, 8192, 64)) for c in range(64)]
-        truth = GroundTruth.from_sets(tuple(by_class[i % 64] for i in range(2048)))
+        truth = from_sets(tuple(by_class[i % 64] for i in range(2048)))
         tracemalloc.start()
         try:
             sums = relevant_sums(gallery.items, truth)

@@ -77,6 +77,18 @@ class TestGallery:
         with pytest.raises(ValueError):
             g.items[0, 0] = 5.0
 
+    def test_copies_a_writeable_array_and_adopts_a_read_only_one(self):
+        a = l2_normalize_rows(np.random.default_rng(4).standard_normal((6, 3)))
+        g = Gallery(a)
+        a[0] = a[1]
+        assert not np.array_equal(g.items[0], a[0])
+        a.flags.writeable = False
+        assert Gallery(a).items is a
+        # A read-only view could still change through its writeable base.
+        view = a.copy()[1:]
+        view.flags.writeable = False
+        assert Gallery(view).items is not view
+
 
 def two_pass_lloyd(gallery, k, seed):
     """Frozen copy of the Lloyd loop that made two distance passes per iteration.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csr import csr_rows
+from csr import csr_rows, from_sets
 from queryshift import gallery as gallery_mod
 from queryshift import synth as synth_mod
 from queryshift.adapt import AdapterParams, forward_adapter
@@ -120,6 +120,21 @@ class TestGenerateBenchmark:
         _, _, truth = generate_benchmark(spec)
         assert len(truth) == 9 and all(len(r) >= 1 for r in csr_rows(truth))
 
+    @pytest.mark.parametrize("classes, gallery_size", [(5, 17), (7, 30), (64, 1000), (3, 3)])
+    def test_truth_matches_from_sets(self, classes, gallery_size):
+        # Each query is relevant to every item of its class, listed ascending;
+        # its class is its lowest relevant id, since item i is of class i mod C.
+        spec = SyntheticSpec(
+            classes=classes, dim=4, gallery_size=gallery_size, stream_length=40, seed=classes
+        )
+        _, _, truth = generate_benchmark(spec)
+        members = np.arange(gallery_size) % classes
+        expected = from_sets(
+            np.flatnonzero(members == c) for c in truth.indices[truth.indptr[:-1]]
+        )
+        assert np.array_equal(truth.indptr, expected.indptr)
+        assert np.array_equal(truth.indices, expected.indices)
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(classes=1, dim=8, gallery_size=8, stream_length=4)
@@ -134,7 +149,7 @@ class TestGroundTruth:
         rng = np.random.default_rng(20)
         for _ in range(20):
             relevant = random_relevant(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
-            truth = GroundTruth.from_sets(relevant)
+            truth = from_sets(relevant)
             want = [sorted(r) for r in relevant]
             assert csr_rows(truth) == want
             assert len(truth) == len(relevant)
@@ -142,7 +157,7 @@ class TestGroundTruth:
             assert csr_rows(back) == want
 
     def test_arrays_are_read_only_sorted_int64(self):
-        truth = GroundTruth.from_sets([{5, 1, 3}, [2, 2, 0]])
+        truth = from_sets([{5, 1, 3}, [2, 2, 0]])
         assert truth.indptr.tolist() == [0, 3, 5]
         assert truth.indices.tolist() == [1, 3, 5, 0, 2]
         for arr in (truth.indptr, truth.indices):
@@ -181,7 +196,7 @@ class TestGroundTruth:
     def test_slices_are_row_ranges(self):
         rng = np.random.default_rng(21)
         relevant = random_relevant(rng, 13, 20)
-        truth = GroundTruth.from_sets(relevant)
+        truth = from_sets(relevant)
         for a, b in [(0, 13), (0, 5), (5, 13), (4, 9), (12, 13), (10, 40), (6, 6)]:
             part = truth[a:b]
             assert csr_rows(part) == [sorted(r) for r in relevant[a:b]]
@@ -192,10 +207,10 @@ class TestGroundTruth:
     def test_slices_stay_read_only_and_equal_rebuilt_truth(self):
         rng = np.random.default_rng(23)
         relevant = random_relevant(rng, 9, 15)
-        truth = GroundTruth.from_sets(relevant)
+        truth = from_sets(relevant)
         for a, b in [(0, 9), (2, 7), (8, 9), (4, 4), (9, 9), (3, 1)]:
             part = truth[a:b]
-            rebuilt = GroundTruth.from_sets(relevant[a:b])
+            rebuilt = from_sets(relevant[a:b])
             for got, want in [(part.indptr, rebuilt.indptr), (part.indices, rebuilt.indices)]:
                 assert got.dtype == np.int64 and not got.flags.writeable
                 assert got.tolist() == want.tolist()
@@ -216,7 +231,7 @@ class TestGroundTruth:
         for _ in range(50):
             n, n_items = int(rng.integers(1, 20)), int(rng.integers(1, 40))
             relevant = random_relevant(rng, n, n_items)
-            truth = GroundTruth.from_sets(relevant)
+            truth = from_sets(relevant)
             # More ranking rows than queries, ids past the truth's largest
             # and a few negative ids.
             extra = int(rng.integers(0, 4))
@@ -229,7 +244,7 @@ class TestGroundTruth:
         for _ in range(50):
             n, n_items = int(rng.integers(1, 20)), int(rng.integers(1, 40))
             relevant = random_relevant(rng, n, n_items)
-            truth = GroundTruth.from_sets(relevant)
+            truth = from_sets(relevant)
             # More ranking rows than queries, ids past the truth's largest
             # and a few negative ids.
             extra, depth = int(rng.integers(0, 4)), int(rng.integers(1, 12))
@@ -242,7 +257,7 @@ class TestGroundTruth:
                 assert recall_at_k(rankings, truth, k) == want / n
 
     def test_first_hits_are_ranks_of_first_relevant_ids(self):
-        truth = GroundTruth.from_sets(({3}, {1, 2}, {0}, {5}))
+        truth = from_sets(({3}, {1, 2}, {0}, {5}))
         rankings = np.array([[3, 0, 1], [4, 2, 1], [-1, 7, 0], [4, 4, 4], [5, 5, 5]])
         hits = first_hits(rankings, truth)
         assert hits.tolist() == [0, 1, 2, NO_HIT]
@@ -465,26 +480,26 @@ class TestMetrics:
 
     def test_consistency_perfect(self):
         z = np.eye(3)
-        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1}), frozenset({2})))
+        truth = from_sets((frozenset({0}), frozenset({1}), frozenset({2})))
         assert consistency(z, z, truth) == pytest.approx(1.0)
 
     def test_consistency_orthogonal(self):
         z_q = np.eye(2)
         z_g = np.array([[0.0, 1.0], [1.0, 0.0]])
-        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
+        truth = from_sets((frozenset({0}), frozenset({1})))
         assert consistency(z_q, z_g, truth) == pytest.approx(0.0)
 
     def test_consistency_mixed_half(self):
         z_q = np.eye(2)
         z_g = np.array([[1.0, 0.0], [1.0, 0.0]])
-        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
+        truth = from_sets((frozenset({0}), frozenset({1})))
         assert consistency(z_q, z_g, truth) == pytest.approx(0.5)
 
     def test_consistency_matches_pair_loop_across_blocks(self, monkeypatch):
         rng = np.random.default_rng(13)
         z_q = l2_normalize_rows(rng.standard_normal((23, 5)))
         z_g = l2_normalize_rows(rng.standard_normal((17, 5)))
-        truth = GroundTruth.from_sets(
+        truth = from_sets(
             frozenset(rng.choice(17, int(rng.integers(1, 18)), replace=False).tolist())
             for _ in range(23)
         )
@@ -498,7 +513,7 @@ class TestMetrics:
         rng = np.random.default_rng(14)
         z_q = l2_normalize_rows(rng.standard_normal((31, 4)))
         z_g = l2_normalize_rows(rng.standard_normal((40, 4)))
-        truth = GroundTruth.from_sets(
+        truth = from_sets(
             rng.choice(40, int(rng.integers(1, 41)), replace=False).tolist() for _ in range(31)
         )
         want = np.array([z_g[rel].sum(axis=0) for rel in csr_rows(truth)])
@@ -523,7 +538,7 @@ class TestMetrics:
         rng = np.random.default_rng(15)
         z_q = l2_normalize_rows(rng.standard_normal((5, 3)))
         z_g = l2_normalize_rows(rng.standard_normal((7, 3)))
-        truth = GroundTruth.from_sets(({0, 1}, {2}, {3, 4, 5}, {6}, {0, 6}))
+        truth = from_sets(({0, 1}, {2}, {3, 4, 5}, {6}, {0, 6}))
         sums, pairs = sums_of(z_g, truth), truth.indices.size
         assert metric_consistency(z_q, sums, pairs) == pytest.approx(
             consistency_by_pairs(z_q, z_g, truth), rel=1e-12)
@@ -544,12 +559,12 @@ class TestMetrics:
             sets = [rng.choice(30, int(rng.integers(1, 31)), replace=False) for _ in range(4)]
             # Same length, other ids; the lower half of each set.
             sets += [(s + 1) % 30 for s in sets] + [np.sort(s)[: (s.size + 1) // 2] for s in sets]
-            truths.append(GroundTruth.from_sets(
+            truths.append(from_sets(
                 sets[i].tolist() for i in rng.integers(0, len(sets), int(rng.integers(1, 40)))
             ))
         # All distinct: 30 one-id sets, then 29 two-id runs, in shuffled order.
         distinct = [[i] for i in range(30)] + [[i, i + 1] for i in range(29)]
-        truths.append(GroundTruth.from_sets(distinct[i] for i in rng.permutation(len(distinct))))
+        truths.append(from_sets(distinct[i] for i in rng.permutation(len(distinct))))
         for truth in truths:
             want = np.concatenate([sums_of(z_g, truth[q : q + 1]) for q in range(len(truth))])
             for block in (1 << 20, 7):
@@ -559,7 +574,7 @@ class TestMetrics:
     def test_consistency_rejects_sums_of_another_shape(self):
         rng = np.random.default_rng(17)
         z_g = l2_normalize_rows(rng.standard_normal((9, 32)))
-        truth = GroundTruth.from_sets([q % 9] for q in range(16))
+        truth = from_sets([q % 9] for q in range(16))
         z_q = l2_normalize_rows(rng.standard_normal((16, 32)))
         sums, pairs = sums_of(z_g, truth), truth.indices.size
         # The same number of values in another shape used to be read flat.
@@ -574,24 +589,24 @@ class TestMetrics:
 
     def test_consistency_empty_pairs(self):
         with pytest.raises(InvalidSpecError):
-            GroundTruth.from_sets((frozenset(),))
+            from_sets((frozenset(),))
 
     def test_recall_trivial_cases(self):
-        truth = GroundTruth.from_sets((frozenset({3}), frozenset({1})))
+        truth = from_sets((frozenset({3}), frozenset({1})))
         top_hit = np.array([[3, 0], [1, 2]])
         assert recall_at_k(top_hit, truth, 1) == 1.0
         miss = np.array([[0, 2], [0, 2]])
         assert recall_at_k(miss, truth, 2) == 0.0
 
     def test_recall_hand_count(self):
-        truth = GroundTruth.from_sets(
+        truth = from_sets(
             (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         )
         rankings = np.array([[0], [1], [2], [9]])
         assert recall_at_k(rankings, truth, 1) == 0.75
 
     def test_recall_missing_query(self):
-        truth = GroundTruth.from_sets((frozenset({0}), frozenset({1})))
+        truth = from_sets((frozenset({0}), frozenset({1})))
         with pytest.raises(DimMismatchError):
             recall_at_k(np.array([[0]]), truth, 1)
 
@@ -599,12 +614,12 @@ class TestMetrics:
         rng = np.random.default_rng(12)
         z_q = l2_normalize_rows(rng.standard_normal((6, 4)))
         z_g = l2_normalize_rows(rng.standard_normal((9, 4)))
-        truth = GroundTruth.from_sets(
+        truth = from_sets(
             frozenset({int(rng.integers(0, 9))}) for _ in range(6)
         )
         perm = rng.permutation(6)
         rows = csr_rows(truth)
-        truth_p = GroundTruth.from_sets(rows[i] for i in perm)
+        truth_p = from_sets(rows[i] for i in perm)
         a = consistency(z_q, z_g, truth)
         b = consistency(z_q[perm], z_g, truth_p)
         assert a == pytest.approx(b, abs=1e-12)

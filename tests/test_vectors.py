@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queryshift import vectors
 from queryshift.errors import InvalidSpecError, ZeroVectorError
-from queryshift.vectors import l2_normalize_rows, shannon_entropy, softmax_temp
+from queryshift.vectors import l2_normalize_rows, row_norms, shannon_entropy, softmax_temp
 
 
 class TestL2Normalize:
@@ -19,6 +20,13 @@ class TestL2Normalize:
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
             l2_normalize_rows([[1.0, 0.0], [0.0, 0.0]])
+
+    def test_block_norms_are_those_of_linalg_norm(self):
+        a = np.random.default_rng(5).standard_normal((2 * vectors._NORM_BLOCK + 3, 32))
+        assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+        expected = a / np.linalg.norm(a, axis=1)[:, None]
+        assert l2_normalize_rows(a, out=a) is a
+        assert a.tobytes() == expected.tobytes()
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16))
     @settings(max_examples=200, deadline=None)
